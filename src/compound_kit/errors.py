@@ -61,7 +61,11 @@ class PreprocessingFailedError(NumericalFailureError):
 
 
 class DecompositionFailedError(NumericalFailureError):
-    """Wedge decomposition did not yield the expected one-dimensional directions."""
+    """The input did not decompose into the expected one-dimensional directions.
+
+    Raised when wedge decomposition finds no such directions, and when the
+    compounds of the recovered frames do not diagonalize the input.
+    """
 
     tag = "decomposition-failed"
 

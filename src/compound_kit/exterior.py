@@ -29,9 +29,30 @@ def _tuple_array(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tuple_rank(n: int, k: int) -> dict[tuple[int, ...], int]:
-    """0-based lex rank of each 0-based k-tuple over range(n)."""
-    return {t: i for i, t in enumerate(combinations(range(n), k))}
+def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed map (a, S) -> S + {a} from (k-1)-tuples to k-tuples over range(n).
+
+    Returns ``(rows, signs)``, both of shape (n, binom(n, k-1)) and indexed by
+    an element ``a`` and the lex rank of a (k-1)-tuple ``S``.  ``rows[a, S]``
+    is the lex rank of the k-tuple ``S + {a}`` and ``signs[a, S]`` is
+    ``(-1)^#{x in S : x < a}``, the sign of moving ``a`` to the front of that
+    tuple.  Both are 0 where ``a`` is in ``S``.  The arrays are shared by
+    every caller and therefore read-only.
+    """
+    tuples = _tuple_array(n, k)
+    faces = _tuple_array(n, k - 1)
+    # base-n place values: a face's numeric key increases with its lex rank
+    place = n ** np.arange(k - 2, -1, -1)
+    keys = faces @ place
+    rows = np.zeros((n, faces.shape[0]), dtype=np.intp)
+    signs = np.zeros((n, faces.shape[0]))
+    for pos in range(k):
+        face = np.searchsorted(keys, np.delete(tuples, pos, axis=1) @ place)
+        rows[tuples[:, pos], face] = np.arange(tuples.shape[0])
+        signs[tuples[:, pos], face] = -1.0 if pos % 2 else 1.0
+    rows.flags.writeable = False
+    signs.flags.writeable = False
+    return rows, signs
 
 
 def compound(X, k: int) -> np.ndarray:
@@ -122,13 +143,10 @@ def wedge_matrix(z, n: int, k: int) -> WedgeMatrix:
         raise InvalidArgumentError("coordinate vector contains non-finite entries")
     if not np.any(z):
         raise DegenerateInputError("coordinate vector is exactly zero")
-    rank_of = _tuple_rank(n, k)
+    rows, signs = _contraction_table(n, k + 1)
+    j, rest = np.nonzero(signs)
     data = np.zeros((binom(n, k + 1), n))
-    for i, I in enumerate(combinations(range(n), k + 1)):
-        for pos, j in enumerate(I):
-            rest = I[:pos] + I[pos + 1 :]
-            sign = -1.0 if pos % 2 else 1.0
-            data[i, j] = sign * z[rank_of[rest]]
+    data[rows[j, rest], j] = signs[j, rest] * z[rest]
     return WedgeMatrix(data=data, ambient=n, grade=k)
 
 

@@ -11,11 +11,29 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-The pipeline for the unique case: compact SVD of M, a random change of basis
-when compound singular values collide, wedge decomposition of the left and
-right factors into rank-one directions, ordering and sign alignment of those
-directions against the SVD factors, singular-value recovery through a
-log-linear system, and a final reconstruction check.
+The pipeline for the unique case (rank(M) > 1) is the contraction route:
+
+1. ``svd``: compact SVD ``M = L diag(s) R^T``; its rank binom(r, k) gives the
+   source rank r, and M is divided by ``s_1`` (the answer is rescaled by
+   ``s_1^(1/k)`` at the end, so no stage sees extreme magnitudes).
+2. ``preprocess``: each side's source frame comes from one signed
+   (k-1)-contraction of the SVD factor (:func:`_contraction_frame`); its r
+   singular values must be pairwise distinct, which holds exactly when the
+   source singular values are.  When they are not (``M = I``, orthogonal or
+   repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
+   random Q (:func:`preprocess_distinct`).
+3. ``frames``: the right frame by the same contraction, then the structural
+   check that ``compound(U, k)^T M compound(V, k)`` is diagonal.
+4. ``singular_values``: the log-magnitudes of that diagonal give sigma
+   through the subset-incidence least squares, and its signs give the column
+   flips of V through a parity system over GF(2).
+5. ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
+   scale), and a final check that ``compound(A, k)`` reproduces M.
+
+The paper's own route, which wedge-decomposes every column of the SVD
+factors (:func:`wedge_decompose`) and aligns the directions against them
+(:func:`align_and_sign_adjust`, :func:`order_compound_singular_values`), is
+kept as the reference the contraction route is tested against.
 """
 
 from __future__ import annotations
@@ -41,9 +59,10 @@ from .errors import (
     SingularInputError,
     VerificationFailedError,
 )
-from .exterior import _tuple_array, compound, wedge_matrix
+from .exterior import _contraction_table, _tuple_array, compound, wedge_matrix
 from .numerics import (
     DEFAULT_POLICY,
+    ReducedSvd,
     TolerancePolicy,
     _as_float_matrix,
     gf2_solve,
@@ -163,59 +182,112 @@ def infer_base_rank(rank_m: int, k: int) -> int:
 
 
 class PreprocessResult(NamedTuple):
+    """Outcome of :func:`preprocess_distinct`.
+
+    ``svd`` is the compact SVD of ``M_tilde``.  ``frame`` (n x r) holds the
+    left singular vectors of the source of ``M_tilde``, ordered by decreasing
+    singular value and with arbitrary signs; it is None when M has rank at
+    most one, where there is nothing to separate.
+    """
+
     Q: np.ndarray
     M_tilde: np.ndarray
     used: bool
     resamples: int
+    svd: ReducedSvd
+    frame: np.ndarray | None
 
 
 def preprocess_distinct(
-    M, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY
+    M,
+    n: int,
+    k: int,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+    *,
+    svd: ReducedSvd | None = None,
 ) -> PreprocessResult:
-    """Left-multiply M by a random compound until singular values separate.
+    """Left-multiply M by a random compound until the source singular values separate.
 
-    The wedge-decomposition step needs the retained singular values of M to be
-    pairwise distinct at ``gap_rtol``.  When they are not, M is replaced by
-    ``compound(Q, k) @ M`` for random square Q; this keeps the row space
-    structure (Q is invertible almost surely) while shuffling the spectrum.
-    Q = I and ``used=False`` when no resampling was needed.
+    The contraction route needs the r singular values of the source to be
+    pairwise distinct.  They are tested through the r contraction singular
+    values of the left SVD factor (:func:`_contraction_frame`), which are
+    distinct exactly when the source values are: consecutive relative gaps
+    must reach ``gap_rtol``.  When they do not, M is replaced by
+    ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square Q.
+    Q = I and ``used=False`` when no resampling was needed.  ``svd`` may pass
+    the compact SVD of M when the caller has already computed it.
     """
     M = _as_float_matrix(M, "M")
     if M.shape[0] != binom(n, k):
         raise InvalidArgumentError(
             f"M has {M.shape[0]} rows, expected binom({n}, {k}) = {binom(n, k)}"
         )
-    sigma = reduced_svd(M, policy).sigma
-    if _gaps_separated(sigma, policy):
-        return PreprocessResult(np.eye(n), M, False, 0)
+    if svd is None:
+        svd = reduced_svd(M, policy)
+    if svd.rank <= 1:
+        return PreprocessResult(np.eye(n), M, False, 0, svd, None)
+    r = infer_base_rank(svd.rank, k)
+    frame, values = _contraction_frame(svd.left, svd.sigma, n, k, r)
+    if _min_gap(values) >= policy.gap_rtol:
+        return PreprocessResult(np.eye(n), M, False, 0, svd, frame)
 
     rng = policy.rng()
-    best_gap = 0.0
+    best_gap = _min_gap(values)
     for attempt in range(1, policy.max_resample + 1):
         Q = rng.standard_normal((n, n))
         q_sigma = np.linalg.svd(Q, compute_uv=False)
         if q_sigma[-1] <= policy.rank_rtol * q_sigma[0] * n:
             continue  # essentially singular draw; try again
         M_tilde = compound(Q, k) @ M
-        new_sigma = reduced_svd(M_tilde, policy).sigma
-        if new_sigma.size != sigma.size:
+        svd_t = reduced_svd(M_tilde, policy)
+        if svd_t.rank != svd.rank:
             continue  # rank drifted through the cutoff; not a usable draw
-        if _gaps_separated(new_sigma, policy):
-            return PreprocessResult(Q, M_tilde, True, attempt)
-        if new_sigma.size > 1:
-            gaps = (new_sigma[:-1] - new_sigma[1:]) / new_sigma[0]
-            best_gap = max(best_gap, float(gaps.min()))
+        frame, values = _contraction_frame(svd_t.left, svd_t.sigma, n, k, r)
+        gap = _min_gap(values)
+        if gap >= policy.gap_rtol:
+            return PreprocessResult(Q, M_tilde, True, attempt, svd_t, frame)
+        best_gap = max(best_gap, gap)
     raise PreprocessingFailedError(
-        f"no draw separated the singular values in {policy.max_resample} attempts "
+        f"no draw separated the source singular values in {policy.max_resample} attempts "
         f"(best relative gap {best_gap:.3e} < {policy.gap_rtol:.3e})"
     )
 
 
-def _gaps_separated(sigma: np.ndarray, policy: TolerancePolicy) -> bool:
-    if sigma.size <= 1:
-        return True
-    gaps = (sigma[:-1] - sigma[1:]) / sigma[0]
-    return bool(np.all(gaps >= policy.gap_rtol))
+def _min_gap(values: np.ndarray) -> float:
+    """Smallest consecutive gap of at least two decreasing values, relative to the largest."""
+    return float(np.min(values[:-1] - values[1:]) / values[0])
+
+
+def _contraction_frame(
+    factor: np.ndarray, sigma: np.ndarray, n: int, k: int, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's source frame from a compact SVD factor of its compound.
+
+    For ``M = compound(A, k) = L diag(s) R^T`` and ``A = U Sigma V^T``, the
+    rows of ``F = L diag(sqrt(s))`` are unfolded into the n-row matrix
+    ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S (see
+    :func:`compound_kit.exterior._contraction_table`).  Then
+    ``E E^T = U diag(lam) U^T`` with ``lam_i = sigma_i e_{k-1}(sigma_j : j != i)``,
+    and ``lam_i - lam_j = (sigma_i - sigma_j) e_{k-1}(the other sigma)``, so
+    the top r left singular vectors of E are U's columns in decreasing sigma
+    order, each up to sign.
+
+    The weight ``sqrt(s)`` rather than ``s`` makes the gaps between the lam
+    grow with the other singular values rather than with their squares,
+    which is what separates the frames of ill-conditioned sources.  E's
+    singular values come from the triangular factor of a QR of ``E^T``: the
+    conditioning is that of E, not of ``E E^T``, and E's right singular
+    vectors are never formed.
+
+    Returns the frame (n x r) and the r leading singular values of E,
+    ``sqrt(lam)``, in decreasing order.
+    """
+    rows, signs = _contraction_table(n, k)
+    E = (factor * np.sqrt(sigma))[rows]
+    E *= signs[:, :, None]
+    R = np.linalg.qr(E.reshape(n, -1).T, mode="r")
+    _, values, Wt = np.linalg.svd(R, full_matrices=False)
+    return Wt[:r].T, values[:r]
 
 
 def wedge_decompose(
@@ -368,7 +440,7 @@ def recover_singular_values(
     y = np.log(d)
     fit = least_squares(L, y)
     scale = max(1.0, float(np.linalg.norm(y)))
-    if fit.residual > policy.residual_rtol * scale:
+    if not fit.residual <= policy.residual_rtol * scale:
         raise InconsistentCompoundValuesError(
             f"log-linear residual {fit.residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e} * {scale:.3e}; values are not k-fold products"
@@ -550,7 +622,10 @@ def inverse_compound(
         the requested shape, or if the final check fails
         (:class:`VerificationFailedError`).
     NumericalFailureError
-        If a pipeline stage fails at the configured tolerances.
+        If a pipeline stage fails at the configured tolerances; in
+        particular :class:`DecompositionFailedError` when M is not diagonal
+        in the compounds of the recovered frames, which is what an input
+        that no compound is close to fails first.
     """
     M = _as_float_matrix(M, "M")
     if not 1 <= k <= min(n, m):
@@ -580,34 +655,41 @@ def inverse_compound(
                 f"inferred source rank {r} exceeds min(n, m) = {min(n, m)}"
             )
         report.inferred_r = r
+        scale = float(svd.sigma[0])
         with _stage(report, "preprocess"):
-            pre = preprocess_distinct(M, n, k, policy)
+            pre = preprocess_distinct(
+                M / scale, n, k, policy,
+                svd=ReducedSvd(svd.left, svd.sigma / scale, svd.right),
+            )
         report.preprocessing_used = pre.used
         report.resample_count = pre.resamples
-        with _stage(report, "svd_preprocessed"):
-            svd_t = reduced_svd(pre.M_tilde, policy) if pre.used else svd
-        if svd_t.rank != rho:
-            raise PreprocessingFailedError(
-                f"change of basis moved the numerical rank from {rho} to {svd_t.rank}"
-            )
-        with _stage(report, "wedge_left"):
-            V_hat = wedge_decompose(svd_t.left, n, r, k, policy)
-        with _stage(report, "wedge_right"):
-            W_hat = wedge_decompose(svd_t.right, m, r, k, policy)
-        with _stage(report, "align_sign"):
-            V_tilde, W_tilde = align_and_sign_adjust(
-                V_hat, W_hat, svd_t.left, svd_t.right, svd_t.sigma, k, policy
-            )
+        with _stage(report, "frames"):
+            U = pre.frame
+            V, _ = _contraction_frame(pre.svd.right, pre.svd.sigma, m, k, r)
+            core = compound(U, k).T @ pre.M_tilde @ compound(V, k)
+            d = np.diag(core).copy()
+            off_diagonal = float(np.linalg.norm(core - np.diag(d)))
+            limit = policy.residual_rtol * float(np.linalg.norm(pre.M_tilde))
+            if not off_diagonal <= limit:
+                raise DecompositionFailedError(
+                    f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
+                    f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
+                )
         with _stage(report, "singular_values"):
-            d = order_compound_singular_values(pre.M_tilde, V_tilde, k, policy)
-            sigma = recover_singular_values(d, r, k, policy)
-            L_inc = incidence_matrix(r, k).entries.astype(float)
+            sigma = recover_singular_values(np.abs(d), r, k, policy)
+            incidence = incidence_matrix(r, k).entries
             report.singular_value_residual = float(
-                np.linalg.norm(L_inc @ np.log(sigma) - np.log(d))
+                np.linalg.norm(incidence @ np.log(sigma) - np.log(np.abs(d)))
             )
+            flips = gf2_solve(incidence, (d < 0).astype(np.uint8))
+            if flips is None:
+                raise SignAdjustmentFailedError("column sign parity system has no solution")
         with _stage(report, "compose"):
-            A_tilde = V_tilde @ (sigma[:, None] * W_tilde.T)
-            A = np.linalg.solve(pre.Q, A_tilde) if pre.used else A_tilde
+            V = V * np.where(flips.astype(bool), -1.0, 1.0)
+            A = U @ (sigma[:, None] * V.T)
+            if pre.used:
+                A = np.linalg.solve(pre.Q, A)
+            A *= scale ** (1.0 / k)
         if canonical_sign and k % 2 == 0:
             A = _canonicalize_sign(A, policy)
         outcome = UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
@@ -615,7 +697,7 @@ def inverse_compound(
 
     with _stage(report, "verify"):
         report.reconstruction_residual = reconstruction_residual(candidate, M, k)
-    if report.reconstruction_residual > policy.residual_rtol:
+    if not report.reconstruction_residual <= policy.residual_rtol:
         raise VerificationFailedError(
             f"reconstruction residual {report.reconstruction_residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e}"
@@ -624,11 +706,23 @@ def inverse_compound(
 
 
 def reconstruction_residual(A, M, k: int) -> float:
-    """Relative residual |compound(A, k) - M|_F / |M|_F (absolute when M = 0)."""
+    """Relative residual |compound(A, k) - M|_F / |M|_F (absolute when M = 0).
+
+    Both terms are divided by max|M| before the norms are taken, so the
+    squares inside the norms neither overflow nor underflow at extreme
+    scales of M.
+    """
     M = _as_float_matrix(M, "M")
-    diff = float(np.linalg.norm(compound(A, k) - M))
-    scale = float(np.linalg.norm(M))
-    return diff / scale if scale > 0 else diff
+    work = compound(A, k)
+    work -= M
+    peak = max(float(M.max()), -float(M.min()))
+    if peak == 0.0:
+        return float(np.linalg.norm(work))
+    work /= peak
+    diff = float(np.linalg.norm(work))
+    # reuse the buffer for M / peak: no compound-sized temporary beyond it
+    np.divide(M, peak, out=work)
+    return diff / float(np.linalg.norm(work))
 
 
 def _canonicalize_sign(A: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -666,7 +760,7 @@ def rank_one_inverse(
     Sigma = (alpha * sigma * beta) ** (1.0 / k) * np.eye(k)
     family = RankOneFamily(U=U, Sigma=Sigma, V=V)
     residual = reconstruction_residual(family.representative(), M, k)
-    if residual > policy.residual_rtol:
+    if not residual <= policy.residual_rtol:
         raise NotCompoundDecomposableError(
             f"rank-one reconstruction residual {residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e}"
@@ -715,7 +809,7 @@ def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_
     T = np.diag(1.0 / np.diag(Sigma)) @ U.T @ B @ V
     reconstructed = U @ Sigma @ T @ V.T
     scale = max(1.0, float(np.linalg.norm(B)))
-    if float(np.linalg.norm(B - reconstructed)) > policy.residual_rtol * scale:
+    if not float(np.linalg.norm(B - reconstructed)) <= policy.residual_rtol * scale:
         return False
     return abs(float(np.linalg.det(T)) - 1.0) <= policy.residual_rtol
 
@@ -736,7 +830,7 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     det = float(np.linalg.det(M))
     B = abs(det) ** (-(n - 2) / (n - 1)) * compound(M, n - 1)
     residual = reconstruction_residual(B, M, n - 1)
-    if residual > policy.residual_rtol:
+    if not residual <= policy.residual_rtol:
         raise NotCompoundDecomposableError(
             f"closed-form reconstruction residual {residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e}"
