@@ -9,6 +9,7 @@ the inverse pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -28,6 +29,24 @@ def _tuple_array(n: int, k: int) -> np.ndarray:
     return np.array(list(combinations(range(n), k)), dtype=np.intp)
 
 
+def _lex_rank(tuples: np.ndarray, n: int) -> np.ndarray:
+    """Lex rank of each row of ``tuples``, an ascending 0-based k-tuple over range(n).
+
+    ``binom(n, k) - 1`` minus the number of tuples that come after, which is
+    ``sum_i binom(n-1-t_i, k-i)``.  Every term of that sum is below
+    ``binom(n, k)``, so the table below is clipped there: the clip never
+    touches a term in use and keeps the unused entries inside int64.
+    """
+    k = tuples.shape[1]
+    total = binom(n, k)
+    table = np.array(
+        [[min(math.comb(a, b), total) for b in range(k + 1)] for a in range(n)],
+        dtype=np.int64,
+    )
+    after = table[n - 1 - tuples, np.arange(k, 0, -1)].sum(axis=1)
+    return total - 1 - after
+
+
 @lru_cache(maxsize=None)
 def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed map (a, S) -> S + {a} from (k-1)-tuples to k-tuples over range(n).
@@ -40,14 +59,11 @@ def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     every caller and therefore read-only.
     """
     tuples = _tuple_array(n, k)
-    faces = _tuple_array(n, k - 1)
-    # base-n place values: a face's numeric key increases with its lex rank
-    place = n ** np.arange(k - 2, -1, -1)
-    keys = faces @ place
-    rows = np.zeros((n, faces.shape[0]), dtype=np.intp)
-    signs = np.zeros((n, faces.shape[0]))
+    faces = binom(n, k - 1)
+    rows = np.zeros((n, faces), dtype=np.intp)
+    signs = np.zeros((n, faces))
     for pos in range(k):
-        face = np.searchsorted(keys, np.delete(tuples, pos, axis=1) @ place)
+        face = _lex_rank(np.delete(tuples, pos, axis=1), n)
         rows[tuples[:, pos], face] = np.arange(tuples.shape[0])
         signs[tuples[:, pos], face] = -1.0 if pos % 2 else 1.0
     rows.flags.writeable = False

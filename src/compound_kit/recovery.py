@@ -203,8 +203,6 @@ def preprocess_distinct(
     n: int,
     k: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    *,
-    svd: ReducedSvd | None = None,
 ) -> PreprocessResult:
     """Left-multiply M by a random compound until the source singular values separate.
 
@@ -214,16 +212,14 @@ def preprocess_distinct(
     distinct exactly when the source values are: consecutive relative gaps
     must reach ``gap_rtol``.  When they do not, M is replaced by
     ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square Q.
-    Q = I and ``used=False`` when no resampling was needed.  ``svd`` may pass
-    the compact SVD of M when the caller has already computed it.
+    Q = I and ``used=False`` when no resampling was needed.
     """
     M = _as_float_matrix(M, "M")
     if M.shape[0] != binom(n, k):
         raise InvalidArgumentError(
             f"M has {M.shape[0]} rows, expected binom({n}, {k}) = {binom(n, k)}"
         )
-    if svd is None:
-        svd = reduced_svd(M, policy)
+    svd = reduced_svd(M, policy)
     if svd.rank <= 1:
         return PreprocessResult(np.eye(n), M, False, 0, svd, None)
     r = infer_base_rank(svd.rank, k)
@@ -657,10 +653,7 @@ def inverse_compound(
         report.inferred_r = r
         scale = float(svd.sigma[0])
         with _stage(report, "preprocess"):
-            pre = preprocess_distinct(
-                M / scale, n, k, policy,
-                svd=ReducedSvd(svd.left, svd.sigma / scale, svd.right),
-            )
+            pre = preprocess_distinct(M / scale, n, k, policy)
         report.preprocessing_used = pre.used
         report.resample_count = pre.resamples
         with _stage(report, "frames"):
@@ -713,16 +706,11 @@ def reconstruction_residual(A, M, k: int) -> float:
     scales of M.
     """
     M = _as_float_matrix(M, "M")
-    work = compound(A, k)
-    work -= M
-    peak = max(float(M.max()), -float(M.min()))
+    peak = float(np.max(np.abs(M))) if M.size else 0.0
     if peak == 0.0:
-        return float(np.linalg.norm(work))
-    work /= peak
-    diff = float(np.linalg.norm(work))
-    # reuse the buffer for M / peak: no compound-sized temporary beyond it
-    np.divide(M, peak, out=work)
-    return diff / float(np.linalg.norm(work))
+        return float(np.linalg.norm(compound(A, k) - M))
+    diff = float(np.linalg.norm((compound(A, k) - M) / peak))
+    return diff / float(np.linalg.norm(M / peak))
 
 
 def _canonicalize_sign(A: np.ndarray, policy: TolerancePolicy) -> np.ndarray:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -109,6 +111,19 @@ def test_wedge_matrix_structure_against_entry_rule():
     )
     assert_allclose(W.data, want, rtol=0, atol=0)
     assert W.ambient == 4 and W.grade == 2
+
+
+def test_wedge_matrix_entry_rule_at_large_ambient_dimension():
+    # n = 22, k = 15: base-n keys of the 15-tuples pass 2^63, so this checks
+    # that tuple ranks stay exact far from the small cases above
+    n, k = 22, 15
+    rank_of = {t: i for i, t in enumerate(combinations(range(n), k))}
+    z = np.random.default_rng(8).standard_normal(len(rank_of))
+    want = np.zeros((binom(n, k + 1), n))
+    for i, I in enumerate(combinations(range(n), k + 1)):
+        for pos, j in enumerate(I):
+            want[i, j] = (-1.0 if pos % 2 else 1.0) * z[rank_of[I[:pos] + I[pos + 1 :]]]
+    assert_allclose(wedge_matrix(z, n, k).data, want, rtol=0, atol=0)
 
 
 def test_wedge_matrix_realizes_wedge_with_z():

@@ -612,3 +612,11 @@ def test_inverse_gaussian_10x10_high_grade(k, draw):
     assert sign_error(result.outcome.A, A) <= 1e-7
     if k % 2:
         assert np.linalg.norm(result.outcome.A - A) <= 1e-7 * np.linalg.norm(A)
+
+
+def test_inverse_full_rank_18x18_grade_17():
+    # M is only 18 x 18, but the 16-tuples that index its contraction have
+    # base-18 keys past 2^63; the frames must still come from the right rows
+    A = np.random.default_rng(18).standard_normal((18, 18))
+    result = inverse_compound(compound(A, 17), 18, 18, 17)
+    assert np.linalg.norm(result.outcome.A - A) <= 1e-7 * np.linalg.norm(A)
