@@ -17,9 +17,14 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-#: Cap on binom(n, k) for any enumerated index set; keeps compound-sized
-#: allocations at desk scale.
+#: Cap on binom(n, k) for any one enumerated index set.  It bounds each
+#: index set, not the product of two of them; :data:`MAX_ARRAY_ENTRIES`
+#: bounds the arrays a compound is built in.
 MAX_TUPLE_COUNT = 10**6
+#: Cap on the entries of the largest array :func:`compound_kit.exterior.compound`
+#: would allocate (2**26 float64 entries is 512 MiB); larger requests are
+#: refused with InvalidArgumentError before anything is allocated.
+MAX_ARRAY_ENTRIES = 2**26
 
 
 def binom(n: int, k: int) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import binom
+from .combinat import MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, binom
 from .errors import DegenerateInputError, InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _as_float_matrix, kernel_basis
 
@@ -48,6 +48,20 @@ def _lex_rank(tuples: np.ndarray, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _face_ranks(n: int, k: int) -> np.ndarray:
+    """Lex ranks of the faces of every k-tuple over range(n), shape (k, binom(n, k)).
+
+    ``faces[p, i]`` is the rank, among the (k-1)-tuples over range(n), of the
+    i-th k-tuple with its entry at position p removed.  Shared by every
+    caller and therefore read-only.
+    """
+    tuples = _tuple_array(n, k)
+    faces = np.stack([_lex_rank(np.delete(tuples, p, axis=1), n) for p in range(k)])
+    faces.flags.writeable = False
+    return faces
+
+
+@lru_cache(maxsize=None)
 def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed map (a, S) -> S + {a} from (k-1)-tuples to k-tuples over range(n).
 
@@ -59,16 +73,141 @@ def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     every caller and therefore read-only.
     """
     tuples = _tuple_array(n, k)
-    faces = binom(n, k - 1)
-    rows = np.zeros((n, faces), dtype=np.intp)
-    signs = np.zeros((n, faces))
+    faces = _face_ranks(n, k)
+    rows = np.zeros((n, binom(n, k - 1)), dtype=np.intp)
+    signs = np.zeros(rows.shape)
     for pos in range(k):
-        face = _lex_rank(np.delete(tuples, pos, axis=1), n)
-        rows[tuples[:, pos], face] = np.arange(tuples.shape[0])
-        signs[tuples[:, pos], face] = -1.0 if pos % 2 else 1.0
+        rows[tuples[:, pos], faces[pos]] = np.arange(tuples.shape[0])
+        signs[tuples[:, pos], faces[pos]] = -1.0 if pos % 2 else 1.0
     rows.flags.writeable = False
     signs.flags.writeable = False
     return rows, signs
+
+
+# Cost model of compound(), in nanoseconds on one core, fitted to timings of
+# the kernel below at every seed level over 160 shapes up to 13 x 15.  A
+# batched LU determinant costs a call overhead plus, per minor, a constant and
+# a term in s^2 (gathering the s x s block outweighs the s^3 / 3 flops at
+# these sizes).  Laplace level s costs s gather-multiply-adds over its
+# entries, plus the interpreter overhead of its NumPy calls: one per row block
+# and a few per step.  On those shapes the chosen seed was 2.6% slower in
+# total than the fastest seed, and at worst 1.5x on a sub-millisecond shape.
+_LU_CALL_NS = 1.1e4
+_LU_MINOR_NS = 96.0
+_LU_ENTRY_NS = 19.0
+_LAPLACE_ENTRY_NS = 2.3
+_LAPLACE_BLOCK_NS = 2600.0
+_LAPLACE_STEP_NS = 3400.0
+
+
+def _level_shape(n: int, m: int, k: int, s: int) -> tuple[int, int]:
+    """Rows and columns of level s: s-tuples over range(k-s, n) against s-tuples over range(m)."""
+    return math.comb(n - k + s, s), math.comb(m, s)
+
+
+def _seed_cost(n: int, m: int, k: int, seed: int) -> float:
+    """Modelled nanoseconds of compound() seeded by LU determinants at level ``seed``."""
+    rows, cols = _level_shape(n, m, k, seed)
+    cost = 0.0 if seed == 1 else _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * seed**2)
+    for s in range(seed + 1, k + 1):
+        rows, cols = _level_shape(n, m, k, s)
+        cost += s * (_LAPLACE_ENTRY_NS * rows * cols + _LAPLACE_BLOCK_NS * (n - k + 1) + _LAPLACE_STEP_NS)
+    return cost
+
+
+def _largest_array(n: int, m: int, k: int, seed: int) -> int:
+    """Entries of the largest array compound() allocates when seeded at level ``seed``.
+
+    That is the seed's (rows, cols, seed, seed) block stack or the largest
+    level; a level's index arrays have ``s`` entries per column.
+    """
+    rows, cols = _level_shape(n, m, k, seed)
+    largest = rows * cols * seed * seed
+    for s in range(seed + 1, k + 1):
+        rows, cols = _level_shape(n, m, k, s)
+        largest = max(largest, max(rows, s) * cols)
+    return largest
+
+
+class _Level(NamedTuple):
+    """Index arrays of one Laplace level s of a compound plan."""
+
+    grade: int
+    cols: np.ndarray  # (binom(m, s), s) column tuples over range(m)
+    faces: np.ndarray  # (s, binom(m, s)) their face ranks, from _face_ranks
+    blocks: tuple[tuple[int, int], ...]  # (start, size) of the rows with each leading index
+
+
+class _CompoundPlan(NamedTuple):
+    seed: int
+    seed_rows: np.ndarray  # (rows, seed) row tuples of the seed level; unused at seed 1
+    seed_cols: np.ndarray  # (cols, seed) column tuples of the seed level
+    levels: tuple[_Level, ...]
+
+
+@lru_cache(maxsize=None)
+def _compound_plan(n: int, m: int, k: int) -> _CompoundPlan:
+    """Plan of compound() for an n x m input with 2 <= k <= n <= m.
+
+    The seed minimizes the modelled cost among the seeds whose column sets
+    stay within MAX_TUPLE_COUNT and whose largest array stays within
+    MAX_ARRAY_ENTRIES; InvalidArgumentError is raised, before any array is
+    allocated, when no seed qualifies.
+    """
+    binom(n, k)
+    binom(m, k)
+    fits = [
+        s0
+        for s0 in range(1, k + 1)
+        if max(math.comb(m, s) for s in range(s0, k + 1)) <= MAX_TUPLE_COUNT
+        and _largest_array(n, m, k, s0) <= MAX_ARRAY_ENTRIES
+    ]
+    if not fits:
+        need = min(_largest_array(n, m, k, s0) for s0 in range(1, k + 1))
+        raise InvalidArgumentError(
+            f"compound of a {n} x {m} matrix at k={k} needs an array of {need} entries, "
+            f"above the cap of {MAX_ARRAY_ENTRIES}"
+        )
+    return _plan_at(n, m, k, min(fits, key=lambda s0: _seed_cost(n, m, k, s0)))
+
+
+def _plan_at(n: int, m: int, k: int, seed: int) -> _CompoundPlan:
+    """Index arrays of compound() for an n x m input seeded at level ``seed``."""
+    levels = []
+    for s in range(seed + 1, k + 1):
+        sizes = [math.comb(n - 1 - a, s - 1) for a in range(k - s, n - s + 1)]
+        starts = accumulate(sizes[:-1], initial=0)
+        levels.append(_Level(s, _tuple_array(m, s), _face_ranks(m, s), tuple(zip(starts, sizes))))
+    return _CompoundPlan(
+        seed, _tuple_array(n - k + seed, seed) + (k - seed), _tuple_array(m, seed), tuple(levels)
+    )
+
+
+def _minors(X: np.ndarray, k: int, plan: _CompoundPlan) -> np.ndarray:
+    """All k x k minors of an n x m matrix X with n <= m, computed by ``plan``."""
+    n = X.shape[0]
+    if plan.seed == 1:
+        C = X[k - 1 :]
+    else:
+        rows, cols = plan.seed_rows, plan.seed_cols
+        C = np.linalg.det(X[rows[:, None, :, None], cols[None, :, None, :]])
+    for s, cols, faces, blocks in plan.levels:
+        lead = X[k - s : n - s + 1]
+        out = np.empty((blocks[-1][0] + blocks[-1][1], cols.shape[0]))
+        for p in range(s):
+            below = C.take(faces[p], axis=1)
+            weights = lead.take(cols[:, p], axis=1)
+            if p % 2:
+                weights = -weights
+            for a, (start, size) in enumerate(blocks):
+                # the rows led by index k-s+a expand into the last `size`
+                # rows of the level below
+                if p == 0:
+                    np.multiply(weights[a], below[-size:], out=out[start : start + size])
+                else:
+                    out[start : start + size] += weights[a] * below[-size:]
+        C = out
+    return C
 
 
 def compound(X, k: int) -> np.ndarray:
@@ -88,24 +227,48 @@ def compound(X, k: int) -> np.ndarray:
         determinant of the submatrix of ``X`` on rows I and columns J, both
         index sets in lexicographic order.
 
+    Raises
+    ------
+    InvalidArgumentError
+        For k outside 1..min(n, m), non-finite input, an index set above
+        :data:`~compound_kit.combinat.MAX_TUPLE_COUNT`, or a computation whose
+        largest array would exceed
+        :data:`~compound_kit.combinat.MAX_ARRAY_ENTRIES`.
+
     Notes
     -----
-    All minors are evaluated as one batched LU determinant over a
-    (binom(n,k), binom(m,k), k, k) stack, so the cost is one pass of dense
-    k x k factorizations rather than Python-level recursion.
+    The input is oriented so that rows are the shorter side, since
+    ``C_k(X^T) = C_k(X)^T``.  Level s holds the s x s minors on the last s
+    rows of every output row tuple, which are the s-tuples T over
+    range(k-s, n), against all s-tuples J of columns.  Laplace expansion
+    along the first row builds each level from the one below::
+
+        C_s[T, J] = sum_p (-1)^p X[T_0, J_p] C_{s-1}[T - T_0, J - J_p]
+
+    which is s gather-multiply-adds over arrays the size of the level, with
+    no k x k blocks.  Above a seed level s0 that costs
+    ``sum_{s > s0} s * binom(n-k+s, s) * binom(m, s)`` multiply-adds, and
+    besides a level only the level below and one gather of it are held.  The
+    seed level is one batched LU determinant over its (rows, cols, s0, s0)
+    block stack; at s0 = 1 it is just the last n-k+1 rows of X.  A fixed cost
+    model, cached with the index arrays per (n, m, k), picks s0: level 1
+    where the levels stay small, and s0 = k, the plain LU stack, for tiny
+    shapes and for k near min(n, m), where the levels would pass through the
+    middle binomials binom(m, m/2).
     """
     X = _as_float_matrix(X)
     n, m = X.shape
     if not 1 <= k <= min(n, m):
         raise InvalidArgumentError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got k={k}")
     if k == 1:
-        # the 1x1 minors are the entries themselves; skip the det stack so
-        # the first compound is exactly the input
+        # the 1x1 minors are the entries themselves, so the first compound is
+        # exactly the input
         return X.copy()
-    rows = _tuple_array(n, k)
-    cols = _tuple_array(m, k)
-    blocks = X[rows[:, None, :, None], cols[None, :, None, :]]
-    return np.linalg.det(blocks)
+    transpose = n > m
+    if transpose:
+        X, n, m = X.T, m, n
+    C = _minors(X, k, _compound_plan(n, m, k))
+    return C.T if transpose else C
 
 
 def wedge(*vectors) -> np.ndarray:

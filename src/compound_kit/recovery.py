@@ -807,16 +807,22 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
 
     For square M of full rank, ``B = |det M|^(-(n-2)/(n-1)) * compound(M, n-1)``
     satisfies compound(B, n-1) = M whenever any preimage exists; the final
-    reconstruction check rejects inputs that are not (n-1)-compounds.
+    reconstruction check rejects inputs that are not (n-1)-compounds.  The
+    formula is applied to ``M / sigma_1`` and its result scaled by
+    ``sigma_1^(1/(n-1))``, so ``det`` neither overflows nor underflows at
+    extreme scales of M.
     """
     M = _as_float_matrix(M, "M")
     n, m = M.shape
     if n != m or n < 2:
         raise InvalidArgumentError(f"matrix must be square with n >= 2, got shape {M.shape}")
-    if reduced_svd(M, policy).rank < n:
+    svd = reduced_svd(M, policy)
+    if svd.rank < n:
         raise SingularInputError("closed form needs numerically invertible input")
-    det = float(np.linalg.det(M))
-    B = abs(det) ** (-(n - 2) / (n - 1)) * compound(M, n - 1)
+    scale = float(svd.sigma[0])
+    unit = M / scale
+    det = float(np.linalg.det(unit))
+    B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
     residual = reconstruction_residual(B, M, n - 1)
     if not residual <= policy.residual_rtol:
         raise NotCompoundDecomposableError(

@@ -500,6 +500,15 @@ def test_closed_form_rejects_non_compound():
         closed_form_inverse_nminus1(M)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-100, 1e100])
+def test_closed_form_round_trip_at_extreme_scales(c):
+    # det of the unscaled input overflows at 1e100 and underflows to 0 at 1e-100
+    A = np.random.default_rng(42).standard_normal((4, 4))
+    B = closed_form_inverse_nminus1(compound(c * A, 3))
+    assert sign_error(B / c, A) <= 1e-10
+
+
 def test_closed_form_agrees_with_pipeline():
     rng = np.random.default_rng(43)
     for _ in range(5):
