@@ -154,8 +154,7 @@ def _compound_plan(n: int, m: int, k: int) -> _CompoundPlan:
     MAX_ARRAY_ENTRIES; InvalidArgumentError is raised, before any array is
     allocated, when no seed qualifies.
     """
-    binom(n, k)
-    binom(m, k)
+    binom(m, k)  # the tagged tuple-cap error; binom(n, k) is no larger
     fits = [
         s0
         for s0 in range(1, k + 1)

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -108,15 +108,14 @@ def test_compound_matches_sliced_determinants(case):
 @settings(max_examples=150, deadline=None)
 @given(matrix_and_grade(), st.data())
 def test_every_seed_level_matches_sliced_determinants(case, data):
-    # the cost model seeds at 1 or at k on every shape it sees in practice, so
-    # the intermediate seeds are reached through the plan builder directly
+    # the cost model seeds at 1 or at k on every shape up to 29 x 44, so the
+    # intermediate seeds are reached through the plan builder directly
     X, k = case
+    assume(k > 1)
     if X.shape[0] > X.shape[1]:
         X = X.T
     n, m = X.shape
     seed = data.draw(st.integers(1, k), label="seed")
-    if k == 1:
-        return
     got = _minors(X, k, _plan_at(n, m, k, seed))
     assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
 
