@@ -54,6 +54,7 @@ from .numerics import (
     ReducedSvd,
     TolerancePolicy,
     gf2_solve,
+    gf2_solver,
     kernel_basis,
     least_squares,
     reduced_svd,
@@ -127,6 +128,7 @@ __all__ = [
     "ReducedSvd",
     "TolerancePolicy",
     "gf2_solve",
+    "gf2_solver",
     "kernel_basis",
     "least_squares",
     "reduced_svd",

@@ -158,41 +158,56 @@ def least_squares(A, y) -> LeastSquaresSolution:
     return LeastSquaresSolution(solution=x, residual=residual)
 
 
-def gf2_solve(A, b) -> np.ndarray | None:
-    """One solution of ``A x = b`` over GF(2), or ``None`` if inconsistent.
+def gf2_solver(A) -> np.ndarray:
+    """Solve matrix ``P`` of ``A x = b`` over GF(2): ``x = (P @ b) & 1``.
 
-    Gauss-Jordan elimination with XOR row updates; free variables are set to
-    zero.  Entries of ``A`` and ``b`` are reduced mod 2 on entry.
+    Gauss-Jordan elimination with XOR row updates on ``[A | I]``; the
+    identity block records the row operations, so each pivot row of it maps a
+    right-hand side to that pivot's variable, and free variables are set to
+    zero.  ``P`` (uint8, cols x rows) depends on ``A`` alone, so one
+    elimination serves every right-hand side.  ``x`` solves the system
+    exactly when one exists; callers check ``(A @ x) & 1 == b`` to refuse an
+    inconsistent ``b``.  Entries of ``A`` are reduced mod 2 on entry.
     """
     A = np.atleast_2d(np.asarray(A))
-    work = (A % 2).astype(np.uint8)
-    rhs = (np.asarray(b).ravel() % 2).astype(np.uint8)
-    rows, cols = work.shape
-    if rhs.size != rows:
-        raise InvalidArgumentError(f"right-hand side length {rhs.size} does not match {rows} rows")
-
-    pivot_rows: list[tuple[int, int]] = []
+    rows, cols = A.shape
+    work = np.hstack([(A % 2).astype(np.uint8), np.eye(rows, dtype=np.uint8)])
+    pivot_cols: list[int] = []
     row = 0
     for col in range(cols):
-        pivot = next((r for r in range(row, rows) if work[r, col]), None)
-        if pivot is None:
+        candidates = np.flatnonzero(work[row:, col])
+        if candidates.size == 0:
             continue
+        pivot = row + int(candidates[0])
         if pivot != row:
             work[[row, pivot]] = work[[pivot, row]]
-            rhs[[row, pivot]] = rhs[[pivot, row]]
-        for r in range(rows):
-            if r != row and work[r, col]:
-                work[r] ^= work[row]
-                rhs[r] ^= rhs[row]
-        pivot_rows.append((row, col))
+        others = work[:, col].astype(bool)
+        others[row] = False
+        work[others] ^= work[row]
+        pivot_cols.append(col)
         row += 1
         if row == rows:
             break
+    P = np.zeros((cols, rows), dtype=np.uint8)
+    P[pivot_cols] = work[: len(pivot_cols), cols:]
+    return P
 
-    # rows below the last pivot are all zero; a nonzero rhs there means no solution
-    if np.any(rhs[row:]):
+
+def gf2_solve(A, b) -> np.ndarray | None:
+    """One solution of ``A x = b`` over GF(2), or ``None`` if inconsistent.
+
+    Reads the solve matrix of :func:`gf2_solver` (free variables zero) and
+    checks the solution against the system.  Entries of ``A`` and ``b`` are
+    reduced mod 2 on entry.
+    """
+    A = np.atleast_2d(np.asarray(A) % 2).astype(np.uint8)
+    rhs = (np.asarray(b).ravel() % 2).astype(np.uint8)
+    if rhs.size != A.shape[0]:
+        raise InvalidArgumentError(
+            f"right-hand side length {rhs.size} does not match {A.shape[0]} rows"
+        )
+    # uint8 products wrap modulo 256, which keeps their parity
+    x = (gf2_solver(A) @ rhs) & 1
+    if not np.array_equal((A @ x) & 1, rhs):
         return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, c in pivot_rows:
-        x[c] = rhs[r]
     return x

@@ -13,20 +13,23 @@ the rank of M:
 
 The pipeline for the unique case (rank(M) > 1) is the contraction route:
 
-1. ``svd``: compact SVD ``M = L diag(s) R^T``; its rank binom(r, k) gives the
-   source rank r, and M is divided by ``s_1`` (the answer is rescaled by
-   ``s_1^(1/k)`` at the end, so no stage sees extreme magnitudes).
+1. ``svd``: compact SVD ``M = L diag(s) R^T``, the only SVD of M itself;
+   its rank binom(r, k) gives the source rank r, and M is divided by ``s_1``
+   (the answer is rescaled by ``s_1^(1/k)`` at the end, so no stage sees
+   extreme magnitudes).
 2. ``preprocess``: each side's source frame comes from one signed
    (k-1)-contraction of the SVD factor (:func:`_contraction_frame`); its r
    singular values must be pairwise distinct, which holds exactly when the
    source singular values are.  When they are not (``M = I``, orthogonal or
    repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
-   random Q (:func:`preprocess_distinct`).
+   random Q.  This is the loop of :func:`preprocess_distinct`, run on the
+   SVD from step 1.
 3. ``frames``: the right frame by the same contraction, then the structural
    check that ``compound(U, k)^T M compound(V, k)`` is diagonal.
 4. ``singular_values``: the log-magnitudes of that diagonal give sigma
    through the subset-incidence least squares, and its signs give the column
-   flips of V through a parity system over GF(2).
+   flips of V through a parity system over GF(2); both systems are solved
+   with factorizations cached per ``(r, k)``.
 5. ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
    scale), and a final check that ``compound(A, k)`` reproduces M.
 
@@ -42,6 +45,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -66,8 +70,8 @@ from .numerics import (
     TolerancePolicy,
     _as_float_matrix,
     gf2_solve,
+    gf2_solver,
     kernel_basis,
-    least_squares,
     reduced_svd,
     subspace_intersection,
 )
@@ -219,7 +223,13 @@ def preprocess_distinct(
         raise InvalidArgumentError(
             f"M has {M.shape[0]} rows, expected binom({n}, {k}) = {binom(n, k)}"
         )
-    svd = reduced_svd(M, policy)
+    return _separate(M, reduced_svd(M, policy), n, k, policy)
+
+
+def _separate(
+    M: np.ndarray, svd: ReducedSvd, n: int, k: int, policy: TolerancePolicy
+) -> PreprocessResult:
+    """The resampling loop of :func:`preprocess_distinct`, given the SVD of M."""
     if svd.rank <= 1:
         return PreprocessResult(np.eye(n), M, False, 0, svd, None)
     r = infer_base_rank(svd.rank, k)
@@ -432,16 +442,50 @@ def recover_singular_values(
         )
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise InvalidArgumentError("compound singular values must be positive and finite")
-    L = incidence_matrix(r, k).entries.astype(float)
+    solver = _incidence_solver(r, k)
     y = np.log(d)
-    fit = least_squares(L, y)
+    x = solver.pinv @ y
+    residual = float(np.linalg.norm(solver.L @ x - y))
     scale = max(1.0, float(np.linalg.norm(y)))
-    if not fit.residual <= policy.residual_rtol * scale:
+    if not residual <= policy.residual_rtol * scale:
         raise InconsistentCompoundValuesError(
-            f"log-linear residual {fit.residual:.3e} exceeds "
+            f"log-linear residual {residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e} * {scale:.3e}; values are not k-fold products"
         )
-    return np.exp(fit.solution)
+    return np.exp(x)
+
+
+class _IncidenceSolver(NamedTuple):
+    """Read-only solvers of the subset-incidence systems for one ``(r, k)``.
+
+    ``L`` is the float incidence matrix (:func:`incidence_matrix`),
+    ``pinv`` its pseudo-inverse (the least-squares solution of ``L x = y``
+    is ``pinv @ y``), and ``parity`` the GF(2) solve matrix of
+    :func:`gf2_solver` (``x = (parity @ b) & 1`` solves ``L x = b`` mod 2
+    whenever a solution exists).
+    """
+
+    L: np.ndarray
+    pinv: np.ndarray
+    parity: np.ndarray
+
+    def parity_solution(self, b: np.ndarray) -> np.ndarray:
+        """The GF(2) solution of ``L x = b``; raises when b is inconsistent."""
+        x = (self.parity @ b) & 1
+        if not np.array_equal((self.L @ x) % 2, b):
+            raise SignAdjustmentFailedError("column sign parity system has no solution")
+        return x
+
+
+@lru_cache(maxsize=None)
+def _incidence_solver(r: int, k: int) -> _IncidenceSolver:
+    """The incidence solvers for ``(r, k)``, built once per process."""
+    entries = incidence_matrix(r, k).entries
+    L = entries.astype(float)
+    solver = _IncidenceSolver(L=L, pinv=np.linalg.pinv(L), parity=gf2_solver(entries))
+    for array in solver:
+        array.setflags(write=False)
+    return solver
 
 
 class AlignedFactors(NamedTuple):
@@ -634,6 +678,7 @@ def inverse_compound(
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     rho = svd.rank
+    residual = None  # the reconstruction residual, when a stage already computed it
 
     if rho == 0:
         report.inferred_r = k
@@ -641,7 +686,7 @@ def inverse_compound(
         candidate = outcome.representative()
     elif rho == 1:
         with _stage(report, "rank_one"):
-            outcome = rank_one_inverse(M, n, m, k, policy)
+            outcome, residual = _rank_one_family(M, svd, n, m, k, policy)
         report.inferred_r = k
         candidate = outcome.representative()
     else:
@@ -653,7 +698,9 @@ def inverse_compound(
         report.inferred_r = r
         scale = float(svd.sigma[0])
         with _stage(report, "preprocess"):
-            pre = preprocess_distinct(M / scale, n, k, policy)
+            # the rank cutoff is relative, so the scaled SVD keeps the same rank
+            unit_svd = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
+            pre = _separate(M / scale, unit_svd, n, k, policy)
         report.preprocessing_used = pre.used
         report.resample_count = pre.resamples
         with _stage(report, "frames"):
@@ -670,13 +717,11 @@ def inverse_compound(
                 )
         with _stage(report, "singular_values"):
             sigma = recover_singular_values(np.abs(d), r, k, policy)
-            incidence = incidence_matrix(r, k).entries
+            solver = _incidence_solver(r, k)
             report.singular_value_residual = float(
-                np.linalg.norm(incidence @ np.log(sigma) - np.log(np.abs(d)))
+                np.linalg.norm(solver.L @ np.log(sigma) - np.log(np.abs(d)))
             )
-            flips = gf2_solve(incidence, (d < 0).astype(np.uint8))
-            if flips is None:
-                raise SignAdjustmentFailedError("column sign parity system has no solution")
+            flips = solver.parity_solution((d < 0).astype(np.uint8))
         with _stage(report, "compose"):
             V = V * np.where(flips.astype(bool), -1.0, 1.0)
             A = U @ (sigma[:, None] * V.T)
@@ -689,7 +734,9 @@ def inverse_compound(
         candidate = A
 
     with _stage(report, "verify"):
-        report.reconstruction_residual = reconstruction_residual(candidate, M, k)
+        if residual is None:
+            residual = reconstruction_residual(candidate, M, k)
+        report.reconstruction_residual = residual
     if not report.reconstruction_residual <= policy.residual_rtol:
         raise VerificationFailedError(
             f"reconstruction residual {report.reconstruction_residual:.3e} exceeds "
@@ -742,6 +789,13 @@ def rank_one_inverse(
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
+    return _rank_one_family(M, svd, n, m, k, policy)[0]
+
+
+def _rank_one_family(
+    M: np.ndarray, svd: ReducedSvd, n: int, m: int, k: int, policy: TolerancePolicy
+) -> tuple[RankOneFamily, float]:
+    """The family of :func:`rank_one_inverse` from M's rank-one SVD, and its residual."""
     sigma = float(svd.sigma[0])
     U, alpha = _decomposable_frame(svd.left[:, 0], n, k, policy, side="left")
     V, beta = _decomposable_frame(svd.right[:, 0], m, k, policy, side="right")
@@ -753,7 +807,7 @@ def rank_one_inverse(
             f"rank-one reconstruction residual {residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e}"
         )
-    return family
+    return family, residual
 
 
 def _decomposable_frame(

@@ -214,3 +214,21 @@ def test_gf2_random_consistent_systems():
         x = gf2_solve(A, b)
         assert x is not None
         assert np.array_equal((A @ x) % 2, b)
+
+
+def test_gf2_solve_refuses_exactly_the_inconsistent_systems():
+    # oracle: enumerate every assignment of up to 6 variables
+    rng = np.random.default_rng(34)
+    for _ in range(60):
+        rows, cols = rng.integers(1, 8), rng.integers(1, 7)
+        A = rng.integers(0, 2, size=(rows, cols))
+        b = rng.integers(0, 2, size=rows)
+        solvable = any(
+            np.array_equal((A @ [(bits >> i) & 1 for i in range(cols)]) % 2, b)
+            for bits in range(2**cols)
+        )
+        x = gf2_solve(A, b)
+        assert (x is not None) == solvable
+        if solvable:
+            assert np.array_equal((A @ x) % 2, b)
+

@@ -10,6 +10,7 @@ from compound_kit import (
     PreprocessingFailedError,
     RankDeficientFamily,
     RankOneFamily,
+    SignAdjustmentFailedError,
     TolerancePolicy,
     UniqueUpToSign,
     VerificationFailedError,
@@ -17,8 +18,10 @@ from compound_kit import (
     closed_form_inverse_nminus1,
     compound,
     family_contains,
+    gf2_solve,
     infer_base_rank,
     inverse_compound,
+    least_squares,
     order_compound_singular_values,
     preprocess_distinct,
     rank_one_inverse,
@@ -27,6 +30,7 @@ from compound_kit import (
     reduced_svd,
     wedge_decompose,
 )
+from compound_kit import recovery
 from compound_kit.recovery import _exhaustive_sign_vector
 from compound_kit.combinat import incidence_matrix
 from compound_kit.testkit import load_fixtures, random_rank_r
@@ -629,3 +633,164 @@ def test_inverse_full_rank_18x18_grade_17():
     A = np.random.default_rng(18).standard_normal((18, 18))
     result = inverse_compound(compound(A, 17), 18, 18, 17)
     assert np.linalg.norm(result.outcome.A - A) <= 1e-7 * np.linalg.norm(A)
+
+
+# --- one SVD of M, cached incidence solvers ---
+
+
+def _count_decompositions_of(M, monkeypatch):
+    """Count np.linalg.svd calls on M itself or a positive multiple of it."""
+    calls = []
+    svd = np.linalg.svd
+    unit = M / np.linalg.norm(M)
+
+    def counting(X, *args, **kwargs):
+        X = np.asarray(X)
+        if X.shape == M.shape and np.allclose(X / np.linalg.norm(X), unit, rtol=0, atol=1e-12):
+            calls.append(X.shape)
+        return svd(X, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _rank_one_compound(n, m, k, seed):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((n, k)), rng.standard_normal((m, k))
+    return np.outer(compound(X, k), compound(Y, k))
+
+
+@pytest.mark.parametrize(
+    "M,n,m,k,outcome,preprocessed",
+    [
+        (compound(np.random.default_rng(71).standard_normal((6, 6)), 3), 6, 6, 3, UniqueUpToSign, False),
+        (np.eye(6), 4, 4, 2, UniqueUpToSign, True),
+        (_rank_one_compound(5, 4, 3, seed=72), 5, 4, 3, RankOneFamily, False),
+    ],
+    ids=["generic-6x6-k3", "identity-4x4-k2", "rank-one-5x4-k3"],
+)
+def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, monkeypatch):
+    calls = _count_decompositions_of(M, monkeypatch)
+    result = inverse_compound(M, n, m, k)
+    assert isinstance(result.outcome, outcome)
+    assert result.report.preprocessing_used == preprocessed
+    assert len(calls) == 1
+
+
+def test_incidence_built_once_per_rank_and_grade(monkeypatch):
+    built = []
+
+    def counting(r, k):
+        built.append((r, k))
+        return incidence_matrix(r, k)
+
+    monkeypatch.setattr(recovery, "incidence_matrix", counting)
+    recovery._incidence_solver.cache_clear()
+    for seed in (73, 74):
+        A = random_rank_r(7, 6, 5, seed=seed)
+        out = inverse_compound(compound(A, 3), 7, 6, 3).outcome
+        assert np.linalg.norm(out.A - A) <= 1e-8 * np.linalg.norm(A)
+    assert built == [(5, 3)]
+
+
+def _gf2_reference(A, b):
+    """The Gauss-Jordan loop gf2_solve ran before its factorization was cached."""
+    work = (np.asarray(A) % 2).astype(np.uint8)
+    rhs = (np.asarray(b).ravel() % 2).astype(np.uint8)
+    rows, cols = work.shape
+    pivot_rows = []
+    row = 0
+    for col in range(cols):
+        pivot = next((i for i in range(row, rows) if work[i, col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            work[[row, pivot]] = work[[pivot, row]]
+            rhs[[row, pivot]] = rhs[[pivot, row]]
+        for i in range(rows):
+            if i != row and work[i, col]:
+                work[i] ^= work[row]
+                rhs[i] ^= rhs[row]
+        pivot_rows.append((row, col))
+        row += 1
+        if row == rows:
+            break
+    if np.any(rhs[row:]):
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for i, c in pivot_rows:
+        x[c] = rhs[i]
+    return x
+
+
+RANK_GRADE_PAIRS = [(r, k) for r in range(2, 10) for k in range(1, r)]
+
+
+@pytest.mark.parametrize("r,k", RANK_GRADE_PAIRS)
+def test_cached_parity_solver_matches_reference_elimination(r, k):
+    solver = recovery._incidence_solver(r, k)
+    L = incidence_matrix(r, k).entries
+    rng = np.random.default_rng([r, k])
+    for _ in range(25):
+        b = ((L @ rng.integers(0, 2, size=r)) % 2).astype(np.uint8)
+        want = _gf2_reference(L, b)
+        assert np.array_equal(solver.parity_solution(b), want)
+        assert np.array_equal(gf2_solve(L, b), want)
+    refused = 0
+    for _ in range(25):
+        b = rng.integers(0, 2, size=L.shape[0]).astype(np.uint8)
+        want = _gf2_reference(L, b)
+        if want is None:
+            refused += 1
+            with pytest.raises(SignAdjustmentFailedError):
+                solver.parity_solution(b)
+            assert gf2_solve(L, b) is None
+        else:
+            assert np.array_equal(solver.parity_solution(b), want)
+    if L.shape[0] > r + 1:
+        # at least two rows beyond the rank: a random b is consistent at most 1 time in 4
+        assert refused > 0
+
+
+@pytest.mark.parametrize("r,k", RANK_GRADE_PAIRS)
+def test_cached_least_squares_matches_numerics(r, k):
+    solver = recovery._incidence_solver(r, k)
+    rng = np.random.default_rng([r, k, 1])
+    for y in (solver.L @ rng.uniform(-3, 3, size=r), rng.uniform(-3, 3, size=solver.L.shape[0])):
+        want = least_squares(incidence_matrix(r, k).entries, y).solution
+        got = solver.pinv @ y
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cached_incidence_arrays_are_read_only():
+    solver = recovery._incidence_solver(5, 2)
+    for array in solver:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
+def _orthogonal(n, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q
+
+
+@pytest.mark.parametrize(
+    "A,k",
+    [(np.eye(4), 2), (_orthogonal(5, 75), 2), (_orthogonal(5, 76), 3)],
+    ids=["identity-4x4-k2", "orthogonal-5x5-k2", "orthogonal-5x5-k3"],
+)
+def test_preprocess_entry_points_share_one_loop(A, k):
+    n = A.shape[0]
+    M = compound(A, k)
+    scale = reduced_svd(M).sigma[0]
+    for seed in range(10):
+        policy = TolerancePolicy(rng_seed=seed)
+        pre = preprocess_distinct(M / scale, n, k, policy)
+        result = inverse_compound(M, n, n, k, policy)
+        assert pre.used and result.report.preprocessing_used
+        assert pre.resamples == result.report.resample_count
+        assert sign_error(result.outcome.A, A) <= 1e-8
+        # pre.M_tilde is the compound of Q A / scale^(1/k)
+        A_tilde = inverse_compound(pre.M_tilde, n, n, k, policy).outcome.A
+        A_pre = np.linalg.solve(pre.Q, A_tilde) * scale ** (1.0 / k)
+        assert sign_error(A_pre, A) <= 1e-8
