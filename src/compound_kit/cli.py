@@ -196,7 +196,9 @@ def _cmd_inverse(args) -> int:
             "sign_ambiguous": isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous,
             "residual": report.reconstruction_residual,
             "inferred_r": report.inferred_r,
+            "preprocessing_used": report.preprocessing_used,
             "resamples": report.resample_count,
+            "singular_value_residual": report.singular_value_residual,
             "timings_ms": {k: v * 1e3 for k, v in report.stage_timings.items()},
         }
         with open(args.json_report, "w") as fh:
@@ -211,7 +213,7 @@ def _cmd_verify(args) -> int:
     policy = TolerancePolicy()
     residual = reconstruction_residual(A, M, args.k)
     print(f"residual: {residual:.6e}")
-    if residual > policy.residual_rtol:
+    if not residual <= policy.residual_rtol:
         raise NotCompoundDecomposableError(
             f"residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
         )

@@ -84,20 +84,27 @@ def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, signs
 
 
-# Cost model of compound(), in nanoseconds on one core, fitted to timings of
-# the kernel below at every seed level over 160 shapes up to 13 x 15.  A
-# batched LU determinant costs a call overhead plus, per minor, a constant and
-# a term in s^2 (gathering the s x s block outweighs the s^3 / 3 flops at
-# these sizes).  Laplace level s costs s gather-multiply-adds over its
-# entries, plus the interpreter overhead of its NumPy calls: one per row block
-# and a few per step.  On those shapes the chosen seed was 2.6% slower in
-# total than the fastest seed, and at worst 1.5x on a sub-millisecond shape.
-_LU_CALL_NS = 1.1e4
-_LU_MINOR_NS = 96.0
-_LU_ENTRY_NS = 19.0
-_LAPLACE_ENTRY_NS = 2.3
-_LAPLACE_BLOCK_NS = 2600.0
-_LAPLACE_STEP_NS = 3400.0
+# Cost model of compound(), in nanoseconds on one core.  A batched LU
+# determinant costs a call overhead plus, per minor, a constant and a term in
+# s^2 (gathering the s x s block outweighs the s^3 / 3 flops at these sizes).
+# A block Laplace level s costs s gather-multiply-adds over its entries plus
+# s steps of interpreter overhead; a gathered level costs one step plus its
+# s * rows * cols products.  The constants are a non-negative least-squares
+# fit, weighted by 1 / time, to timings of the kernel at every seed level on
+# 229 shapes (n <= m <= n + 2, n up to 13, every k from 2 to n; 1164
+# timings, each the best of 10 batch means, on one core of a 2-vCPU Intel
+# Xeon with NumPy 2.4 and OpenBLAS).  On those shapes the chosen seed was
+# 2.3% slower in total than the fastest seed, and at worst 1.4x on a 2 ms
+# shape.
+_LU_CALL_NS = 6200.0
+_LU_MINOR_NS = 138.0
+_LU_ENTRY_NS = 18.6
+_LAPLACE_ENTRY_NS = 2.5
+_LAPLACE_STEP_NS = 10000.0
+_GATHER_ENTRY_NS = 3.9
+_GATHER_STEP_NS = 6000.0
+#: Largest s * rows * cols of a level built in one gathered step.
+_GATHER_ENTRIES = 2**14
 
 
 def _level_shape(n: int, m: int, k: int, s: int) -> tuple[int, int]:
@@ -111,7 +118,11 @@ def _seed_cost(n: int, m: int, k: int, seed: int) -> float:
     cost = 0.0 if seed == 1 else _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * seed**2)
     for s in range(seed + 1, k + 1):
         rows, cols = _level_shape(n, m, k, s)
-        cost += s * (_LAPLACE_ENTRY_NS * rows * cols + _LAPLACE_BLOCK_NS * (n - k + 1) + _LAPLACE_STEP_NS)
+        products = s * rows * cols
+        if products <= _GATHER_ENTRIES:
+            cost += _GATHER_STEP_NS + _GATHER_ENTRY_NS * products
+        else:
+            cost += _LAPLACE_ENTRY_NS * products + _LAPLACE_STEP_NS * s
     return cost
 
 
@@ -119,7 +130,9 @@ def _largest_array(n: int, m: int, k: int, seed: int) -> int:
     """Entries of the largest array compound() allocates when seeded at level ``seed``.
 
     That is the seed's (rows, cols, seed, seed) block stack or the largest
-    level; a level's index arrays have ``s`` entries per column.
+    level; a level's index arrays have ``s`` entries per column.  The
+    temporaries of a gathered level hold at most ``_GATHER_ENTRIES``
+    entries, far below any cap, and are not counted.
     """
     rows, cols = _level_shape(n, m, k, seed)
     largest = rows * cols * seed * seed
@@ -129,13 +142,34 @@ def _largest_array(n: int, m: int, k: int, seed: int) -> int:
     return largest
 
 
+class _Gather(NamedTuple):
+    """Flat indices of a gathered level step, both of shape (s, rows, cols).
+
+    ``weights`` indexes ``[X, -X]`` (n x 2m): the row is the output row's
+    leading index and the column its p-th column index, read from the
+    negated half at odd p.  ``below`` indexes the level below: the row is
+    the lex rank of the output row's tail and the column the p-th face of
+    its column tuple.  Both stay writeable although the plan is shared:
+    ``np.take`` copies a read-only index array on every call.
+    """
+
+    weights: np.ndarray
+    below: np.ndarray
+
+
 class _Level(NamedTuple):
-    """Index arrays of one Laplace level s of a compound plan."""
+    """Index arrays of one Laplace level s of a compound plan.
+
+    A level with at most ``_GATHER_ENTRIES`` products is built by ``gather``
+    in one step; a larger one (``gather`` None) by the block step, one
+    multiply-add per column position and leading index.
+    """
 
     grade: int
     cols: np.ndarray  # (binom(m, s), s) column tuples over range(m)
     faces: np.ndarray  # (s, binom(m, s)) their face ranks, from _face_ranks
     blocks: tuple[tuple[int, int], ...]  # (start, size) of the rows with each leading index
+    gather: _Gather | None
 
 
 class _CompoundPlan(NamedTuple):
@@ -170,13 +204,30 @@ def _compound_plan(n: int, m: int, k: int) -> _CompoundPlan:
     return _plan_at(n, m, k, min(fits, key=lambda s0: _seed_cost(n, m, k, s0)))
 
 
-def _plan_at(n: int, m: int, k: int, seed: int) -> _CompoundPlan:
-    """Index arrays of compound() for an n x m input seeded at level ``seed``."""
+def _plan_at(
+    n: int, m: int, k: int, seed: int, gather_entries: int = _GATHER_ENTRIES
+) -> _CompoundPlan:
+    """Index arrays of compound() for an n x m input seeded at level ``seed``.
+
+    A level is gathered when its products number at most ``gather_entries``;
+    tests pass 0 or a huge value to force one step kind on every level.
+    """
     levels = []
     for s in range(seed + 1, k + 1):
+        cols, faces = _tuple_array(m, s), _face_ranks(m, s)
         sizes = [math.comb(n - 1 - a, s - 1) for a in range(k - s, n - s + 1)]
         starts = accumulate(sizes[:-1], initial=0)
-        levels.append(_Level(s, _tuple_array(m, s), _face_ranks(m, s), tuple(zip(starts, sizes))))
+        rows = sum(sizes)
+        gather = None
+        if s * rows * cols.shape[0] <= gather_entries:
+            tuples = _tuple_array(n - k + s, s) + (k - s)
+            tails = _lex_rank(tuples[:, 1:] - (k - s + 1), n - k + s - 1)
+            negated = m * (np.arange(s) % 2)[:, None]
+            gather = _Gather(
+                weights=(2 * m * tuples[:, 0])[None, :, None] + (cols.T + negated)[:, None, :],
+                below=(math.comb(m, s - 1) * tails)[None, :, None] + faces[:, None, :],
+            )
+        levels.append(_Level(s, cols, faces, tuple(zip(starts, sizes)), gather))
     return _CompoundPlan(
         seed, _tuple_array(n - k + seed, seed) + (k - seed), _tuple_array(m, seed), tuple(levels)
     )
@@ -190,7 +241,16 @@ def _minors(X: np.ndarray, k: int, plan: _CompoundPlan) -> np.ndarray:
     else:
         rows, cols = plan.seed_rows, plan.seed_cols
         C = np.linalg.det(X[rows[:, None, :, None], cols[None, :, None, :]])
-    for s, cols, faces, blocks in plan.levels:
+    signed = None
+    for s, cols, faces, blocks, gather in plan.levels:
+        if gather is not None:
+            if signed is None:
+                signed = np.concatenate((X, -X), axis=1)
+            # the s products of every entry, summed in the order of the
+            # block step below, so both steps round alike
+            products = signed.take(gather.weights)
+            C = np.multiply(products, C.take(gather.below), out=products).sum(axis=0)
+            continue
         lead = X[k - s : n - s + 1]
         out = np.empty((blocks[-1][0] + blocks[-1][1], cols.shape[0]))
         for p in range(s):
@@ -244,16 +304,23 @@ def compound(X, k: int) -> np.ndarray:
 
         C_s[T, J] = sum_p (-1)^p X[T_0, J_p] C_{s-1}[T - T_0, J - J_p]
 
-    which is s gather-multiply-adds over arrays the size of the level, with
-    no k x k blocks.  Above a seed level s0 that costs
-    ``sum_{s > s0} s * binom(n-k+s, s) * binom(m, s)`` multiply-adds, and
-    besides a level only the level below and one gather of it are held.  The
-    seed level is one batched LU determinant over its (rows, cols, s0, s0)
-    block stack; at s0 = 1 it is just the last n-k+1 rows of X.  A fixed cost
-    model, cached with the index arrays per (n, m, k), picks s0: level 1
-    where the levels stay small, and s0 = k, the plain LU stack, for tiny
-    shapes and for k near min(n, m), where the levels would pass through the
-    middle binomials binom(m, m/2).
+    with no k x k blocks.  Above a seed level s0 that costs
+    ``sum_{s > s0} s * binom(n-k+s, s) * binom(m, s)`` multiply-adds.  A level
+    with at most 2^14 such products is built in one gathered step: the
+    signed weights ``(-1)^p X[T_0, J_p]`` and the lower minors are gathered
+    into two (s, rows, cols) arrays by flat indices cached in the plan,
+    multiplied, and summed over p.  A larger level is built in s steps, each
+    one gather of the level below and one multiply-add per leading index of
+    T, so besides the level it holds only the level below and one gather of
+    it.  Both steps add the s products of an entry in the same order, so
+    they round alike.  The seed level is one batched LU determinant over its
+    (rows, cols, s0, s0) block stack; at s0 = 1 it is just the last n-k+1
+    rows of X.  A fixed cost model, cached with the index arrays per
+    (n, m, k), picks s0: level 1 where the levels stay small, and s0 = k,
+    the plain LU stack, where it has few minors: mostly at k = min(n, m),
+    at k = 3 on 4 x 4 and k = 4 on 5 x 5, and for k near min(n, m) on
+    larger shapes, where the levels would pass through the middle binomials
+    binom(m, m/2).
     """
     X = _as_float_matrix(X)
     n, m = X.shape

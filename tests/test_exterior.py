@@ -22,7 +22,7 @@ from compound_kit import (
     wedge,
     wedge_matrix,
 )
-from compound_kit.exterior import _compound_plan, _minors, _plan_at
+from compound_kit.exterior import _GATHER_ENTRIES, _compound_plan, _minors, _plan_at
 from compound_kit.testkit import MAX_ORACLE_GRADE, load_fixtures, reference_compound
 
 
@@ -120,14 +120,36 @@ def test_every_seed_level_matches_sliced_determinants(case, data):
     assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrix_and_grade(), st.data())
+def test_gathered_and_block_steps_agree_at_every_seed(case, data):
+    # every level forced to one step kind: both match the sliced
+    # determinants, and since both add an entry's s products in the same
+    # order they agree to the last bit
+    X, k = case
+    assume(k > 1)
+    if X.shape[0] > X.shape[1]:
+        X = X.T
+    n, m = X.shape
+    seed = data.draw(st.integers(1, k), label="seed")
+    gathered = _plan_at(n, m, k, seed, gather_entries=2**62)
+    block = _plan_at(n, m, k, seed, gather_entries=0)
+    assert all(level.gather is not None for level in gathered.levels)
+    assert all(level.gather is None for level in block.levels)
+    got = _minors(X, k, gathered)
+    assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
+    assert np.array_equal(got, _minors(X, k, block))
+
+
 @pytest.mark.parametrize(
     "shape, k, seed",
-    [((13, 13), 5, 1), ((10, 10), 5, 1), ((9, 12), 4, 1), ((4, 4), 2, 2), ((5, 5), 4, 4),
-     ((18, 18), 17, 17)],
+    [((13, 13), 5, 1), ((10, 10), 5, 1), ((9, 12), 4, 1), ((4, 4), 2, 1), ((5, 5), 4, 4),
+     ((18, 18), 17, 17), ((4, 4), 3, 3)],
 )
 def test_compound_plan_seed_choice(shape, k, seed):
     # level 1 where the levels stay small; the plain LU stack for tiny shapes
-    # and for k near min(n, m), where the levels pass through binom(18, 9)
+    # with k >= min(n, m) - 1 and for k near min(n, m), where the levels pass
+    # through binom(18, 9)
     assert _compound_plan(*shape, k).seed == seed
     assert [level.grade for level in _compound_plan(*shape, k).levels] == list(range(seed + 1, k + 1))
 
@@ -140,6 +162,37 @@ def test_compound_of_integer_matrix_is_exact(shape, k):
     assert _compound_plan(min(n, m), max(n, m), k).seed == 1
     X = np.random.default_rng(n * m + k).integers(-9, 10, size=shape).astype(float)
     assert np.array_equal(compound(X, k), reference_compound(X, k))
+
+
+@pytest.mark.parametrize("shape, k", [((4, 4), 2), ((5, 5), 3), ((6, 6), 4)])
+def test_gathered_seed_one_is_exact_on_integer_matrices(shape, k):
+    # shapes the gathered steps moved from an LU seed to level 1, where every
+    # minor is a sum of products of small integers, exact in float64
+    assert _compound_plan(*shape, k).seed == 1
+    X = np.random.default_rng(shape[0] * 10 + k).integers(-9, 10, size=shape).astype(float)
+    assert np.array_equal(compound(X, k), reference_compound(X, k))
+
+
+def test_gathered_steps_stay_under_the_cap():
+    for n in range(2, 14):
+        for m in range(n, 16):
+            for k in range(2, n + 1):
+                for level in _compound_plan(n, m, k).levels:
+                    if level.gather is not None:
+                        assert level.gather.weights.size <= _GATHER_ENTRIES
+    # 13 x 15 at k = 2: level 2 has 2 * 78 * 105 = 16380 products, just
+    # under the cap; the step holds its two gathers and nothing larger
+    (level,) = _compound_plan(13, 15, 2).levels
+    assert level.gather.weights.size == level.gather.below.size == 16380
+    X = np.random.default_rng(15).standard_normal((13, 15))
+    compound(X, 2)  # build the cached plan outside the measurement
+    tracemalloc.start()
+    try:
+        C = compound(X, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * _GATHER_ENTRIES + C.nbytes
 
 
 def test_compound_peak_memory_is_a_small_multiple_of_the_output():

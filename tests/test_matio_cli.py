@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compound_kit import MatrixIOError, adjugate, compound
+from compound_kit import MatrixIOError, adjugate, compound, inverse_compound
 from compound_kit.cli import SEED_ENV_VAR, main, run_bench
 from compound_kit.matio import parse_matrix, render_matrix, write_matrix
 from compound_kit.testkit import load_fixtures, random_rank_r
@@ -257,6 +257,34 @@ def test_cli_verify_rejects_wrong_pair(tmp_path, capsys):
     m_file = _write(tmp_path, "m.csv", compound(A, 2))
     assert main(["verify", "--a", a_file, "--m", m_file, "--k", "2"]) == 1
     assert "error: not-compound-decomposable:" in capsys.readouterr().err
+
+
+def test_cli_verify_fails_closed_on_overflowing_candidate(tmp_path, capsys):
+    # compound(A, 3) of entries near 1e110 overflows to inf and nan, so the
+    # residual is nan; nan must not pass as verified
+    A = 1e110 * np.random.default_rng(0).standard_normal((6, 6))
+    a_file = _write(tmp_path, "a.csv", A)
+    m_file = _write(tmp_path, "m.csv", compound(A / 1e110, 3))
+    with np.errstate(all="ignore"):
+        code = main(["verify", "--a", a_file, "--m", m_file, "--k", "3"])
+    captured = capsys.readouterr()
+    assert "residual: nan" in captured.out
+    assert code == 1
+    assert "error: not-compound-decomposable:" in captured.err
+
+
+def test_cli_inverse_report_carries_preprocessing_and_value_residual(tmp_path):
+    # M = I forces preprocessing
+    infile = _write(tmp_path, "m.csv", np.eye(6))
+    report_path = tmp_path / "report.json"
+    args = ["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2",
+            "--out", str(tmp_path / "a.csv"), "--json-report", str(report_path)]
+    assert main(args) == 0
+    report = json.loads(report_path.read_text())
+    want = inverse_compound(np.eye(6), 4, 4, 2).report
+    assert report["preprocessing_used"] is True and want.preprocessing_used
+    assert report["singular_value_residual"] == want.singular_value_residual
+    assert 0.0 <= report["singular_value_residual"] <= 1e-8
 
 
 def test_cli_adjugate_both_routes_agree(tmp_path):

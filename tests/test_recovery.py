@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -794,3 +796,30 @@ def test_preprocess_entry_points_share_one_loop(A, k):
         A_tilde = inverse_compound(pre.M_tilde, n, n, k, policy).outcome.A
         A_pre = np.linalg.solve(pre.Q, A_tilde) * scale ** (1.0 / k)
         assert sign_error(A_pre, A) <= 1e-8
+
+
+# --- row-blocked QR of the contraction unfolding ---
+
+@pytest.mark.parametrize(
+    "n,k,block",
+    [(9, 4, recovery._QR_BLOCK_ROWS), (7, 3, 122)],
+    ids=["9x9-k4-default-blocks", "7x7-k3-blocks-of-122"],
+)
+@pytest.mark.parametrize("cond", [None, 1e6], ids=["spread-1-2", "cond-1e6"])
+def test_blocked_qr_matches_single_qr(n, k, block, cond, monkeypatch):
+    # 9x9 k=4 unfolds into 84 * 126 = 10584 rows: five full blocks of 2048
+    # and 344 more.  7x7 k=3 has 21 * 35 = 735 rows: six blocks of 122 and a
+    # 3-row tail, shorter than the 7 columns.
+    spectrum = None if cond is None else cond ** (-np.arange(n) / (n - 1))
+    A = random_rank_r(n, n, n, seed=90 + n, spectrum=spectrum)
+    svd = reduced_svd(compound(A, k))
+    factor, sigma = svd.left, svd.sigma / svd.sigma[0]
+    rows = math.comb(n, k - 1) * factor.shape[1]  # rows of E^T
+    assert rows > block
+    monkeypatch.setattr(recovery, "_QR_BLOCK_ROWS", rows)
+    single_frame, single_values = recovery._contraction_frame(factor, sigma, n, k, n)
+    monkeypatch.setattr(recovery, "_QR_BLOCK_ROWS", block)
+    frame, values = recovery._contraction_frame(factor, sigma, n, k, n)
+    assert_allclose(values, single_values, rtol=1e-13, atol=0)
+    signs = np.sign(np.sum(frame * single_frame, axis=0))
+    assert_allclose(frame * signs, single_frame, rtol=0, atol=1e-12)
