@@ -305,9 +305,10 @@ def _contraction_frame(
     E = (factor * np.sqrt(sigma))[rows]
     E *= signs[:, :, None]
     Et = E.reshape(n, -1).T
-    starts = range(0, len(Et), _QR_BLOCK_ROWS)
-    R = np.vstack([np.linalg.qr(Et[i : i + _QR_BLOCK_ROWS], mode="r") for i in starts])
+    R = np.linalg.qr(Et[:_QR_BLOCK_ROWS], mode="r")
     if len(Et) > _QR_BLOCK_ROWS:
+        rest = range(_QR_BLOCK_ROWS, len(Et), _QR_BLOCK_ROWS)
+        R = np.vstack([R] + [np.linalg.qr(Et[i : i + _QR_BLOCK_ROWS], mode="r") for i in rest])
         R = np.linalg.qr(R, mode="r")
     _, values, Wt = np.linalg.svd(R, full_matrices=False)
     return Wt[:r].T, values[:r]
