@@ -147,7 +147,7 @@ def test_gathered_and_block_steps_agree_at_every_seed(case, data):
      ((18, 18), 17, 17), ((4, 4), 3, 3)],
 )
 def test_compound_plan_seed_choice(shape, k, seed):
-    # level 1 where the levels stay small; the plain LU stack for tiny shapes
+    # level 1 where the levels stay small; the plain LU stack at 4x4 and 5x5
     # with k >= min(n, m) - 1 and for k near min(n, m), where the levels pass
     # through binom(18, 9)
     assert _compound_plan(*shape, k).seed == seed
