@@ -193,6 +193,7 @@ def _cmd_inverse(args) -> int:
         report = result.report
         payload = {
             "outcome": label,
+            "route": report.route,
             "sign_ambiguous": isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous,
             "residual": report.reconstruction_residual,
             "inferred_r": report.inferred_r,

@@ -53,12 +53,12 @@ def _face_ranks(n: int, k: int) -> np.ndarray:
 
     ``faces[p, i]`` is the rank, among the (k-1)-tuples over range(n), of the
     i-th k-tuple with its entry at position p removed.  Shared by every
-    caller and therefore read-only.
+    caller, but writeable: the block step of :func:`_minors` takes its rows
+    as indices, and ``np.take`` copies a read-only index array on every
+    call.  Callers must not modify it.
     """
     tuples = _tuple_array(n, k)
-    faces = np.stack([_lex_rank(np.delete(tuples, p, axis=1), n) for p in range(k)])
-    faces.flags.writeable = False
-    return faces
+    return np.stack([_lex_rank(np.delete(tuples, p, axis=1), n) for p in range(k)])
 
 
 @lru_cache(maxsize=None)

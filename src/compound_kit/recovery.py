@@ -11,27 +11,49 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-The pipeline for the unique case (rank(M) > 1) is the contraction route:
+The unique case (rank(M) > 1) takes one of two rungs.  Both find each
+side's source frame from a signed (k-1)-contraction (:func:`_contraction_frame`)
+and share every check after that.
 
-1. ``svd``: compact SVD ``M = L diag(s) R^T``, the only SVD of M itself;
-   its rank binom(r, k) gives the source rank r, and M is divided by ``s_1``
-   (the answer is rescaled by ``s_1^(1/k)`` at the end, so no stage sees
+1. Rung 1, the contraction of M itself (route ``contraction``).  An exactly
+   zero M is the zero family at once.  Otherwise M is divided by ``max|M|``
+   (the answer is rescaled by ``max|M|^(1/k)`` at the end, so no stage sees
    extreme magnitudes).
-2. ``preprocess``: each side's source frame comes from one signed
-   (k-1)-contraction of the SVD factor (:func:`_contraction_frame`); its r
-   singular values must be pairwise distinct, which holds exactly when the
-   source singular values are.  When they are not (``M = I``, orthogonal or
-   repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
-   random Q.  This is the loop of :func:`preprocess_distinct`, run on the
-   SVD from step 1.
-3. ``frames``: the right frame by the same contraction, then the structural
-   check that ``compound(U, k)^T M compound(V, k)`` is diagonal.
-4. ``singular_values``: the log-magnitudes of that diagonal give sigma
-   through the subset-incidence least squares, and its signs give the column
-   flips of V through a parity system over GF(2); both systems are solved
-   with factorizations cached per ``(r, k)``.
-5. ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
-   scale), and a final check that ``compound(A, k)`` reproduces M.
+
+   * ``preprocess``: the left frame is the top r left singular vectors of
+     the contraction of M, and r is the rank of that contraction.  Its r
+     singular values must be pairwise distinct, which holds exactly when the
+     source singular values are.  When they are not (``M = I``, orthogonal
+     or repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
+     random Q, with no SVD per draw.
+   * ``frames``: the right frame is contracted from the narrow product
+     ``F = M^T compound(U, k)``, whose rank must also be r.  Then
+     ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` must be
+     diagonal.
+   * ``singular_values``: the log-magnitudes of that diagonal give sigma
+     through the subset-incidence least squares, and its signs give the
+     column flips of V through a parity system over GF(2).  Both systems are
+     solved with factorizations cached per ``(r, k)``.
+   * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
+     scale), and a final check that ``compound(A, k)`` reproduces M.
+
+   The side with the smaller unfolding is contracted first (M or M^T, a
+   choice made from the shape alone).
+
+2. Rung 2, the SVD route (routes ``svd`` and ``rank-one``).  It
+   runs only when rung 1 cannot certify an answer: rank at most one
+   (r <= k), r > min(n, m), or any failed check of rung 1.  Its time is then
+   reported as ``contraction_attempt``.
+
+   * ``svd``: the compact SVD ``M = L diag(s) R^T``; its rank binom(r, k)
+     gives r, and M is divided by ``s_1``.  Rank one goes to the rank-one
+     family.
+   * ``preprocess`` and ``frames``: as in rung 1, but each side contracts
+     the weighted SVD factor ``L diag(sqrt(s))`` or ``R diag(sqrt(s))``,
+     which separates ill-conditioned sources better.  Its resampling runs
+     the same loop, the loop of :func:`preprocess_distinct`.
+   * ``singular_values``, ``compose`` and ``verify`` as in rung 1; here a
+     failed check is the refusal, under its own tag.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors (:func:`wedge_decompose`) and aligns the directions against them
@@ -53,6 +75,7 @@ import numpy as np
 from .combinat import binom, incidence_matrix
 from .errors import (
     AlignmentFailedError,
+    CompoundKitError,
     DecompositionFailedError,
     InconsistentCompoundValuesError,
     InvalidArgumentError,
@@ -140,10 +163,14 @@ class RecoveryReport:
     """Diagnostics for one recovery run.
 
     ``inferred_r`` is the rank of the recovered matrix (for the rank-one and
-    zero families it reports k, the family grade).  ``stage_timings`` maps
-    stage names to seconds.
+    zero families it reports k, the family grade).  ``route`` names the path
+    that produced the answer: ``contraction`` (rung 1), ``svd`` (rung 2),
+    ``rank-one`` or ``zero``.  ``stage_timings`` maps stage names to
+    seconds; when rung 1 hands over, its whole time is
+    ``contraction_attempt``.
     """
 
+    route: str = ""
     inferred_r: int = 0
     preprocessing_used: bool = False
     resample_count: int = 0
@@ -212,11 +239,13 @@ def preprocess_distinct(
 
     The contraction route needs the r singular values of the source to be
     pairwise distinct.  They are tested through the r contraction singular
-    values of the left SVD factor (:func:`_contraction_frame`), which are
-    distinct exactly when the source values are: consecutive relative gaps
-    must reach ``gap_rtol``.  When they do not, M is replaced by
-    ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square Q.
-    Q = I and ``used=False`` when no resampling was needed.
+    values of the weighted left SVD factor (:func:`_contraction_frame`),
+    which are distinct exactly when the source values are: consecutive
+    relative gaps must reach ``gap_rtol``.  When they do not, M is replaced
+    by ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square
+    Q.  Q = I and ``used=False`` when no resampling was needed.  This is the
+    preprocessing of the SVD route (rung 2) of :func:`inverse_compound`;
+    rung 1 runs the same loop on the contraction of M itself.
     """
     M = _as_float_matrix(M, "M")
     if M.shape[0] != binom(n, k):
@@ -233,28 +262,58 @@ def _separate(
     if svd.rank <= 1:
         return PreprocessResult(np.eye(n), M, False, 0, svd, None)
     r = infer_base_rank(svd.rank, k)
-    frame, values = _contraction_frame(svd.left, svd.sigma, n, k, r)
-    if _min_gap(values) >= policy.gap_rtol:
-        return PreprocessResult(np.eye(n), M, False, 0, svd, frame)
+
+    def side(svd_t: ReducedSvd):
+        frame, values = _contraction_frame(svd_t.left * np.sqrt(svd_t.sigma), n, k)
+        return frame[:, :r], values[:r], svd_t
+
+    def draw(M_tilde: np.ndarray):
+        svd_t = reduced_svd(M_tilde, policy)
+        # a draw whose rank drifted through the cutoff is not usable
+        return side(svd_t) if svd_t.rank == svd.rank else None
+
+    Q, M_tilde, resamples, (frame, _, svd_t) = _resample(
+        M, side(svd), n, k, policy, draw, policy.max_resample
+    )
+    return PreprocessResult(Q, M_tilde, resamples > 0, resamples, svd_t, frame)
+
+
+def _resample(
+    M: np.ndarray, first: tuple, n: int, k: int, policy: TolerancePolicy, draw, draws: int
+):
+    """The resampling loop of both rungs of :func:`inverse_compound`.
+
+    ``first`` is one side's ``(frame, values, ...)`` for M itself, with
+    ``values`` the r leading contraction singular values.  While their
+    relative gap is below ``gap_rtol``, M is replaced by
+    ``compound(Q, k) @ M`` for random n x n Q drawn from ``policy.rng()``,
+    skipping essentially singular draws, and ``draw(M_tilde)`` gives the
+    same tuple for it, or None when the draw is not usable.
+
+    Returns ``(Q, M_tilde, resamples, found)``, with Q the identity and
+    ``resamples`` 0 when M needed no draw; raises
+    :class:`PreprocessingFailedError` after ``draws`` draws.
+    """
+    best_gap = _min_gap(first[1])
+    if best_gap >= policy.gap_rtol:
+        return np.eye(n), M, 0, first
 
     rng = policy.rng()
-    best_gap = _min_gap(values)
-    for attempt in range(1, policy.max_resample + 1):
+    for attempt in range(1, draws + 1):
         Q = rng.standard_normal((n, n))
         q_sigma = np.linalg.svd(Q, compute_uv=False)
         if q_sigma[-1] <= policy.rank_rtol * q_sigma[0] * n:
             continue  # essentially singular draw; try again
         M_tilde = compound(Q, k) @ M
-        svd_t = reduced_svd(M_tilde, policy)
-        if svd_t.rank != svd.rank:
-            continue  # rank drifted through the cutoff; not a usable draw
-        frame, values = _contraction_frame(svd_t.left, svd_t.sigma, n, k, r)
-        gap = _min_gap(values)
+        found = draw(M_tilde)
+        if found is None:
+            continue
+        gap = _min_gap(found[1])
         if gap >= policy.gap_rtol:
-            return PreprocessResult(Q, M_tilde, True, attempt, svd_t, frame)
+            return Q, M_tilde, attempt, found
         best_gap = max(best_gap, gap)
     raise PreprocessingFailedError(
-        f"no draw separated the source singular values in {policy.max_resample} attempts "
+        f"no draw separated the source singular values in {draws} attempts "
         f"(best relative gap {best_gap:.3e} < {policy.gap_rtol:.3e})"
     )
 
@@ -264,54 +323,83 @@ def _min_gap(values: np.ndarray) -> float:
     return float(np.min(values[:-1] - values[1:]) / values[0])
 
 
+def _contraction_rank(values: np.ndarray, n: int, policy: TolerancePolicy) -> int:
+    """Number of contraction singular values above the rank cutoff of an n-row unfolding."""
+    return int(np.count_nonzero(values > policy.rank_rtol * values[0] * n))
+
+
 #: Rows of ``E^T`` per block of the QR in :func:`_contraction_frame`; at
 #: n = 10 a block holds 160 KiB, which stays in cache.
 _QR_BLOCK_ROWS = 2048
 
 
-def _contraction_frame(
-    factor: np.ndarray, sigma: np.ndarray, n: int, k: int, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One side's source frame from a compact SVD factor of its compound.
+@lru_cache(maxsize=None)
+def _signed_unfolding_index(n: int, k: int) -> np.ndarray:
+    """Gather index of the signed unfolding into ``[F; -F; 0]``, shape (n, binom(n, k-1)).
 
-    For ``M = compound(A, k) = L diag(s) R^T`` and ``A = U Sigma V^T``, the
-    rows of ``F = L diag(sqrt(s))`` are unfolded into the n-row matrix
-    ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S (see
-    :func:`compound_kit.exterior._contraction_table`).  Then
-    ``E E^T = U diag(lam) U^T`` with ``lam_i = sigma_i e_{k-1}(sigma_j : j != i)``,
-    and ``lam_i - lam_j = (sigma_i - sigma_j) e_{k-1}(the other sigma)``, so
-    the top r left singular vectors of E are U's columns in decreasing sigma
-    order, each up to sign.
-
-    The weight ``sqrt(s)`` rather than ``s`` makes the gaps between the lam
-    grow with the other singular values rather than with their squares,
-    which is what separates the frames of ill-conditioned sources.  E's
-    singular values come from the triangular factor of a QR of ``E^T``: the
-    conditioning is that of E, not of ``E E^T``, and E's right singular
-    vectors are never formed.
-
-    ``E^T`` is tall (52,920 x 10 at n = 10, k = 5), so its QR is taken in
-    blocks of ``_QR_BLOCK_ROWS`` rows that stay in cache: the triangular
-    factors of the blocks are stacked and factored once more, the tall-skinny
-    QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci. Comput., 2012).
-    Every step is orthogonal, so this gives the same ``R`` up to row signs
-    (``R^T R = E E^T`` either way), hence the same singular values and
-    frame up to column signs.  With a single block it is one plain QR.
-
-    Returns the frame (n x r) and the r leading singular values of E,
-    ``sqrt(lam)``, in decreasing order.
+    For F with binom(n, k) rows, ``concatenate((F, -F, zeros))`` taken at
+    ``index[a, S]`` is the row ``eps(a, S) F[S + {a}]``, and 0 where a is in
+    S (see :func:`compound_kit.exterior._contraction_table`).  The array is
+    shared but stays writeable: ``np.take`` copies a read-only index on
+    every call.
     """
     rows, signs = _contraction_table(n, k)
-    E = (factor * np.sqrt(sigma))[rows]
-    E *= signs[:, :, None]
-    Et = E.reshape(n, -1).T
-    R = np.linalg.qr(Et[:_QR_BLOCK_ROWS], mode="r")
-    if len(Et) > _QR_BLOCK_ROWS:
-        rest = range(_QR_BLOCK_ROWS, len(Et), _QR_BLOCK_ROWS)
-        R = np.vstack([R] + [np.linalg.qr(Et[i : i + _QR_BLOCK_ROWS], mode="r") for i in rest])
-        R = np.linalg.qr(R, mode="r")
+    total = binom(n, k)
+    return np.where(signs > 0, rows, np.where(signs < 0, rows + total, 2 * total))
+
+
+def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left singular vectors and values of the signed (k-1)-unfolding of F.
+
+    F has binom(n, k) rows.  Its rows are unfolded into the n-row matrix
+    ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S.  For
+    ``F F^T = compound(G, k)`` with ``G = U diag(g) U^T`` this gives
+    ``E E^T = U diag(lam) U^T`` with ``lam_i = g_i e_{k-1}(g_j : j != i)``,
+    and ``lam_i - lam_j = (g_i - g_j) e_{k-1}(the other g)``.  So for a
+    source ``A = U Sigma V^T`` of rank r > k the top r left singular vectors
+    of E are U's columns in decreasing sigma order, each up to sign, and E
+    has rank exactly r.
+
+    The two rungs of :func:`inverse_compound` differ only in F.  Rung 1
+    contracts M itself, ``F F^T = M M^T = compound(A A^T, k)``, so
+    ``g = sigma^2``; it needs no SVD of M, and the right side contracts the
+    narrow ``M^T compound(U, k) = compound(V Sigma, k)``, with the same g.
+    Rung 2 contracts ``F = L diag(sqrt(s))`` from the SVD
+    ``M = L diag(s) R^T``, so ``F F^T = compound(U Sigma U^T, k)`` and
+    ``g = sigma``.  The gaps between the lam then grow with the other
+    singular values rather than with their squares, which is what still
+    separates the frames of ill-conditioned sources whose squared gaps fall
+    below ``gap_rtol``; that is why rung 2 keeps the ``sqrt(s)`` weight.
+
+    E's singular values come from the triangular factor of a QR of ``E^T``:
+    the conditioning is that of E, not of ``E E^T``, and E's right singular
+    vectors are never formed.  ``E^T`` is tall (52,920 x 10 at n = 10,
+    k = 5), so it is never held whole.  It is built from blocks of F's
+    columns, about ``_QR_BLOCK_ROWS`` rows at a time, each by one gather
+    that also applies the signs (:func:`_signed_unfolding_index`).  The
+    triangular factors of the blocks are stacked and factored once more,
+    the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
+    Comput., 2012).  Every step is orthogonal and the row order does not
+    change ``R^T R = E E^T``, so this gives the same ``R`` up to row signs,
+    hence the same singular values and frame up to column signs.  With a
+    single block it is one plain QR.
+
+    Returns all left singular vectors of E as columns (n x q) and its q
+    singular values in decreasing order, q = min(n, rows of E^T).
+    """
+    index = _signed_unfolding_index(n, k)
+    width = max(1, _QR_BLOCK_ROWS // index.shape[1])
+    blocks = []
+    for start in range(0, F.shape[1], width):
+        block = F[:, start : start + width]
+        signed = np.concatenate((block, -block, np.zeros((1, block.shape[1]))))
+        # E's columns (S, p) for this block, held as E itself so that E^T is
+        # the Fortran-ordered array LAPACK reads without a transposing copy
+        E = signed.take(index, axis=0).reshape(n, -1)
+        blocks.append(np.linalg.qr(E.T, mode="r"))
+    R = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
     _, values, Wt = np.linalg.svd(R, full_matrices=False)
-    return Wt[:r].T, values[:r]
+    return Wt.T, values
 
 
 def wedge_decompose(
@@ -700,21 +788,134 @@ def inverse_compound(
         raise InvalidArgumentError(f"M has shape {M.shape}, expected {expected}")
 
     report = RecoveryReport()
+    if not np.any(M):
+        # every matrix of rank below k has the zero compound
+        report.route = "zero"
+        report.inferred_r = k
+        return RecoveryResult(outcome=RankDeficientFamily(n=n, m=m, k=k), report=report)
+    start = time.perf_counter()
+    outcome = _contraction_rung(M, n, m, k, policy, report)
+    if outcome is None:
+        elapsed = time.perf_counter() - start
+        report = RecoveryReport(stage_timings={"contraction_attempt": elapsed})
+        outcome = _svd_rung(M, n, m, k, policy, report)
+    if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
+        # compound(-A, k) = compound(A, k) exactly at even k, so the
+        # verified residual holds for the flipped answer too
+        outcome = UniqueUpToSign(A=_canonicalize_sign(outcome.A, policy), sign_ambiguous=True)
+    return RecoveryResult(outcome=outcome, report=report)
+
+
+def _contraction_rung(
+    M: np.ndarray,
+    n: int,
+    m: int,
+    k: int,
+    policy: TolerancePolicy,
+    report: RecoveryReport,
+) -> UniqueUpToSign | None:
+    """Rung 1 of :func:`inverse_compound`: the verified answer, or None to hand over.
+
+    Every refusal of a check here hands the input to the SVD route, which
+    decides it under its own tags; ``report`` is then discarded.
+    """
+    # contract the smaller of the unfoldings of M and M^T = compound(A^T, k)
+    left = n * math.comb(n, k - 1) * math.comb(m, k)
+    right = m * math.comb(m, k - 1) * math.comb(n, k)
+    try:
+        if right < left:
+            A = _contract(M.T, m, n, k, policy, report)
+            A = None if A is None else A.T
+        else:
+            A = _contract(M, n, m, k, policy, report)
+        if A is None:
+            return None
+        _verify(A, M, k, policy, report)
+    except CompoundKitError:
+        return None
+    report.route = "contraction"
+    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
+
+
+def _contract(
+    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
+) -> np.ndarray | None:
+    """A from contractions of M itself, before verification.
+
+    Returns None when the contraction rank r is out of range or the right
+    side does not confirm it, and raises the tagged error of any other
+    check that fails.
+    """
+    scale = max(float(M.max()), -float(M.min()))
+    with _stage(report, "preprocess"):
+        M = M / scale
+        frame, values = _contraction_frame(M, n, k)
+        r = _contraction_rank(values, n, policy)
+        if not k < r <= min(n, m):
+            return None  # rank one, or no source of this shape: the SVD route decides
+
+        def draw(M_tilde: np.ndarray):
+            frame, values = _contraction_frame(M_tilde, n, k)
+            # a draw whose rank drifted through the cutoff is not usable
+            return (frame[:, :r], values[:r]) if _contraction_rank(values, n, policy) == r else None
+
+        # one draw makes a repeated spectrum generic; a gap still too small
+        # after it is structural (ill-conditioning), and the sqrt(s) weight
+        # of the SVD route separates it better than more draws would
+        Q, M_tilde, resamples, (U, _) = _resample(
+            M, (frame[:, :r], values[:r]), n, k, policy, draw, 1
+        )
+    report.inferred_r = r
+    report.preprocessing_used = resamples > 0
+    report.resample_count = resamples
+    with _stage(report, "frames"):
+        F = M_tilde.T @ compound(U, k)
+        # F = compound(V Sigma, k) up to column signs has orthogonal columns;
+        # testing that first hands most non-compounds over before the right
+        # contraction
+        gram = F.T @ F
+        off_diagonal = np.linalg.norm(gram - np.diag(np.diag(gram)))
+        if not off_diagonal <= policy.residual_rtol * np.trace(gram):
+            return None
+        V, values = _contraction_frame(F, m, k)
+        if _contraction_rank(values, m, policy) != r or not _min_gap(values[:r]) >= policy.gap_rtol:
+            return None  # the right side does not confirm the left side's rank and gap
+        V = V[:, :r]
+        d = _diagonal(F.T @ compound(V, k), M_tilde, policy)
+    return _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
+
+
+def _svd_rung(
+    M: np.ndarray,
+    n: int,
+    m: int,
+    k: int,
+    policy: TolerancePolicy,
+    report: RecoveryReport,
+) -> RecoveryOutcome:
+    """Rung 2 of :func:`inverse_compound`, the SVD route.
+
+    One SVD of M, then the contraction of its weighted factors; every failed
+    check raises its tagged error.
+    """
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     rho = svd.rank
     residual = None  # the reconstruction residual, when a stage already computed it
 
     if rho == 0:
+        report.route = "zero"
         report.inferred_r = k
         outcome: RecoveryOutcome = RankDeficientFamily(n=n, m=m, k=k)
         candidate = outcome.representative()
     elif rho == 1:
+        report.route = "rank-one"
         with _stage(report, "rank_one"):
             outcome, residual = _rank_one_family(M, svd, n, m, k, policy)
         report.inferred_r = k
         candidate = outcome.representative()
     else:
+        report.route = "svd"
         r = infer_base_rank(rho, k)
         if r > min(n, m):
             raise NotCompoundDecomposableError(
@@ -730,40 +931,81 @@ def inverse_compound(
         report.resample_count = pre.resamples
         with _stage(report, "frames"):
             U = pre.frame
-            V, _ = _contraction_frame(pre.svd.right, pre.svd.sigma, m, k, r)
-            core = compound(U, k).T @ pre.M_tilde @ compound(V, k)
-            d = np.diag(core).copy()
-            off_diagonal = float(np.linalg.norm(core - np.diag(d)))
-            limit = policy.residual_rtol * float(np.linalg.norm(pre.M_tilde))
-            if not off_diagonal <= limit:
-                raise DecompositionFailedError(
-                    f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
-                    f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
-                )
-        with _stage(report, "singular_values"):
-            sigma, report.singular_value_residual = _log_linear_solve(np.abs(d), r, k, policy)
-            flips = _incidence_solver(r, k).parity_solution((d < 0).astype(np.uint8))
-        with _stage(report, "compose"):
-            V = V * np.where(flips.astype(bool), -1.0, 1.0)
-            A = U @ (sigma[:, None] * V.T)
-            if pre.used:
-                A = np.linalg.solve(pre.Q, A)
-            A *= scale ** (1.0 / k)
-        if canonical_sign and k % 2 == 0:
-            A = _canonicalize_sign(A, policy)
+            V = _contraction_frame(pre.svd.right * np.sqrt(pre.svd.sigma), m, k)[0][:, :r]
+            d = _diagonal(compound(U, k).T @ pre.M_tilde @ compound(V, k), pre.M_tilde, policy)
+        A = _compose(U, V, d, pre.Q if pre.used else None, scale, r, k, policy, report)
         outcome = UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
         candidate = A
 
+    _verify(candidate, M, k, policy, report, residual)
+    return outcome
+
+
+def _diagonal(core: np.ndarray, M_tilde: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
+    """The diagonal of ``core = compound(U, k)^T M_tilde compound(V, k)``.
+
+    Raises :class:`DecompositionFailedError` when the core is not diagonal
+    to within ``residual_rtol * |M_tilde|``.
+    """
+    d = np.diag(core).copy()
+    off_diagonal = float(np.linalg.norm(core - np.diag(d)))
+    limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
+    if not off_diagonal <= limit:
+        raise DecompositionFailedError(
+            f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
+            f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
+        )
+    return d
+
+
+def _compose(
+    U: np.ndarray,
+    V: np.ndarray,
+    d: np.ndarray,
+    Q: np.ndarray | None,
+    scale: float,
+    r: int,
+    k: int,
+    policy: TolerancePolicy,
+    report: RecoveryReport,
+) -> np.ndarray:
+    """The stages ``singular_values`` and ``compose``: A from both frames and the diagonal d.
+
+    Q is the draw to undo, or None, and ``scale`` the divisor of M.
+    """
+    with _stage(report, "singular_values"):
+        sigma, report.singular_value_residual = _log_linear_solve(np.abs(d), r, k, policy)
+        flips = _incidence_solver(r, k).parity_solution((d < 0).astype(np.uint8))
+    with _stage(report, "compose"):
+        V = V * np.where(flips.astype(bool), -1.0, 1.0)
+        A = U @ (sigma[:, None] * V.T)
+        if Q is not None:
+            A = np.linalg.solve(Q, A)
+        A *= scale ** (1.0 / k)
+    return A
+
+
+def _verify(
+    candidate: np.ndarray,
+    M: np.ndarray,
+    k: int,
+    policy: TolerancePolicy,
+    report: RecoveryReport,
+    residual: float | None = None,
+) -> None:
+    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M.
+
+    ``residual`` is the reconstruction residual when a stage already
+    computed it.
+    """
     with _stage(report, "verify"):
         if residual is None:
             residual = reconstruction_residual(candidate, M, k)
         report.reconstruction_residual = residual
-    if not report.reconstruction_residual <= policy.residual_rtol:
+    if not residual <= policy.residual_rtol:
         raise VerificationFailedError(
-            f"reconstruction residual {report.reconstruction_residual:.3e} exceeds "
-            f"{policy.residual_rtol:.1e}"
+            f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
         )
-    return RecoveryResult(outcome=outcome, report=report)
 
 
 def reconstruction_residual(A, M, k: int) -> float:

@@ -287,6 +287,28 @@ def test_cli_inverse_report_carries_preprocessing_and_value_residual(tmp_path):
     assert 0.0 <= report["singular_value_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "M,n,k,route",
+    [
+        (compound(random_rank_r(4, 4, 4, seed=21), 2), 4, 2, "contraction"),
+        (load_fixtures()["rank-one-3x3"].inputs["M"], 3, 2, "rank-one"),
+        (np.zeros((6, 6)), 4, 2, "zero"),
+        # k = r - 1 at cond 1e8: the contraction of M itself cannot separate
+        # the two leading singular values, so the SVD route answers
+        (compound(random_rank_r(5, 5, 3, seed=70, spectrum=[1.0, 1e-4, 1e-8]), 2), 5, 2, "svd"),
+    ],
+    ids=["contraction", "rank-one", "zero", "svd"],
+)
+def test_cli_inverse_report_names_the_route(tmp_path, M, n, k, route):
+    infile = _write(tmp_path, "m.csv", M)
+    report_path = tmp_path / "report.json"
+    args = ["inverse", "--in", infile, "--n", str(n), "--m", str(n), "--k", str(k),
+            "--out", str(tmp_path / "a.csv"), "--json-report", str(report_path)]
+    assert main(args) == 0
+    report = json.loads(report_path.read_text())
+    assert report["route"] == route == inverse_compound(M, n, n, k).report.route
+
+
 def test_cli_adjugate_both_routes_agree(tmp_path):
     rng = np.random.default_rng(8)
     A = rng.standard_normal((4, 4))

@@ -296,8 +296,9 @@ def test_inverse_reference_4x4(recovery4):
     assert result.report.reconstruction_residual <= 1e-8
     assert not result.report.preprocessing_used
     assert result.report.singular_value_residual <= 1e-8
+    assert result.report.route == "contraction"
     assert set(result.report.stage_timings) >= {
-        "svd", "preprocess", "frames", "singular_values", "compose", "verify"
+        "preprocess", "frames", "singular_values", "compose", "verify"
     }
 
 
@@ -663,20 +664,22 @@ def _rank_one_compound(n, m, k, seed):
 
 
 @pytest.mark.parametrize(
-    "M,n,m,k,outcome,preprocessed",
+    "M,n,m,k,outcome,preprocessed,svds",
     [
-        (compound(np.random.default_rng(71).standard_normal((6, 6)), 3), 6, 6, 3, UniqueUpToSign, False),
-        (np.eye(6), 4, 4, 2, UniqueUpToSign, True),
-        (_rank_one_compound(5, 4, 3, seed=72), 5, 4, 3, RankOneFamily, False),
+        (compound(np.random.default_rng(71).standard_normal((6, 6)), 3), 6, 6, 3, UniqueUpToSign,
+         False, 0),
+        (np.eye(6), 4, 4, 2, UniqueUpToSign, True, 0),
+        (_rank_one_compound(5, 4, 3, seed=72), 5, 4, 3, RankOneFamily, False, 1),
     ],
     ids=["generic-6x6-k3", "identity-4x4-k2", "rank-one-5x4-k3"],
 )
-def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, monkeypatch):
+def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, svds, monkeypatch):
+    # the contraction of M itself needs no SVD of M; only rank one takes one
     calls = _count_decompositions_of(M, monkeypatch)
     result = inverse_compound(M, n, m, k)
     assert isinstance(result.outcome, outcome)
     assert result.report.preprocessing_used == preprocessed
-    assert len(calls) == 1
+    assert len(calls) == svds
 
 
 def test_incidence_built_once_per_rank_and_grade(monkeypatch):
@@ -807,19 +810,152 @@ def test_preprocess_entry_points_share_one_loop(A, k):
 )
 @pytest.mark.parametrize("cond", [None, 1e6], ids=["spread-1-2", "cond-1e6"])
 def test_blocked_qr_matches_single_qr(n, k, block, cond, monkeypatch):
-    # 9x9 k=4 unfolds into 84 * 126 = 10584 rows: five full blocks of 2048
-    # and 344 more.  7x7 k=3 has 21 * 35 = 735 rows: six blocks of 122 and a
-    # 3-row tail, shorter than the 7 columns.
+    # blocks hold whole columns of F, 2048 // 84 = 24 of them at 9x9 k=4:
+    # 9x9 k=4 unfolds into 84 * 126 = 10584 rows, five blocks of 2016 and
+    # one of 504.  At 7x7 k=3 blocks of 122 rows hold 5 columns of 21 rows,
+    # seven blocks for 35 columns.
     spectrum = None if cond is None else cond ** (-np.arange(n) / (n - 1))
     A = random_rank_r(n, n, n, seed=90 + n, spectrum=spectrum)
     svd = reduced_svd(compound(A, k))
-    factor, sigma = svd.left, svd.sigma / svd.sigma[0]
-    rows = math.comb(n, k - 1) * factor.shape[1]  # rows of E^T
+    F = svd.left * np.sqrt(svd.sigma / svd.sigma[0])
+    rows = math.comb(n, k - 1) * F.shape[1]  # rows of E^T
     assert rows > block
     monkeypatch.setattr(recovery, "_QR_BLOCK_ROWS", rows)
-    single_frame, single_values = recovery._contraction_frame(factor, sigma, n, k, n)
+    single_frame, single_values = recovery._contraction_frame(F, n, k)
     monkeypatch.setattr(recovery, "_QR_BLOCK_ROWS", block)
-    frame, values = recovery._contraction_frame(factor, sigma, n, k, n)
+    frame, values = recovery._contraction_frame(F, n, k)
     assert_allclose(values, single_values, rtol=1e-13, atol=0)
     signs = np.sign(np.sum(frame * single_frame, axis=0))
     assert_allclose(frame * signs, single_frame, rtol=0, atol=1e-12)
+
+
+# --- rung 1 (contractions of M itself) against rung 2 (the SVD route) ---
+
+
+def _rung_one_and_two(M, n, m, k, monkeypatch, policy=TolerancePolicy()):
+    """inverse_compound as it runs, and with rung 1 handing every input over."""
+    first = inverse_compound(M, n, m, k, policy)
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        second = inverse_compound(M, n, m, k, policy)
+    return first, second
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8])
+def test_contraction_rung_matches_svd_rung(r, monkeypatch):
+    # square, rectangular both ways, and rank-deficient sources, every k < r
+    for k in range(1, r):
+        for n, m in [(r, r), (r + 2, r + 1), (r, r + 2), (r + 2, r + 2)]:
+            A = random_rank_r(n, m, r, seed=8191 * r + 97 * k + 13 * n + m)
+            first, second = _rung_one_and_two(compound(A, k), n, m, k, monkeypatch)
+            assert (first.report.route, second.report.route) == ("contraction", "svd")
+            assert first.report.inferred_r == second.report.inferred_r == r
+            got, want = first.outcome.A, second.outcome.A
+            if k % 2:
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+            else:
+                assert sign_error(got, want) <= 1e-9
+
+
+def _refusal_corpus():
+    rng = np.random.default_rng(83)
+    X = rng.standard_normal((6, 6))
+    rank_two = compound(random_rank_r(6, 6, 2, seed=84), 3)  # rounding noise
+    perturbed = compound(rng.standard_normal((6, 6)), 3)
+    perturbed = perturbed + 1e-6 * np.abs(perturbed).max() * rng.standard_normal(perturbed.shape)
+    impossible = np.zeros((15, 15))
+    impossible[:6, :6] = random_rank_r(6, 6, 5, seed=23)  # rank 5 is no binom(r, 2)
+    return [
+        ("rank-2-6x6-k3", rank_two, 6, 6, 3),
+        ("gaussian-6x6-k3", rng.standard_normal((20, 20)), 6, 6, 3),
+        ("gaussian-5x5-k2", rng.standard_normal((10, 10)), 5, 5, 2),
+        ("perturbed-1e-6-6x6-k3", perturbed, 6, 6, 3),
+        ("XXt-plus-6I-4x4-k2", X[:, :6] @ X[:, :6].T + 6 * np.eye(6), 4, 4, 2),
+        ("non-binomial-rank-6x6-k2", impossible, 6, 6, 2),
+        # the contraction of a 15 x 6 Gaussian M has rank 6 > min(n, m) = 4
+        ("r-above-min-6x4-k2", rng.standard_normal((15, 6)), 6, 4, 2),
+    ]
+
+
+@pytest.mark.parametrize("label,M,n,m,k", _refusal_corpus(), ids=[c[0] for c in _refusal_corpus()])
+def test_contraction_rung_keeps_every_refusal_tag(label, M, n, m, k, monkeypatch):
+    from compound_kit import CompoundKitError
+
+    with pytest.raises(CompoundKitError) as first:
+        inverse_compound(M, n, m, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        with pytest.raises(CompoundKitError) as second:
+            inverse_compound(M, n, m, k)
+    assert type(first.value) is type(second.value)
+    assert first.value.tag == second.value.tag
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e8, 1e10])
+@pytest.mark.parametrize("n,m,r", [(5, 5, 3), (6, 4, 4)])
+def test_ill_conditioned_sources_take_the_svd_rung(cond, n, m, r, monkeypatch):
+    # the cells of test_inverse_accuracy_on_ill_conditioned_sources: the
+    # squared weights of rung 1 cannot separate them, so rung 2 answers (or
+    # refuses) exactly as it does alone
+    k = r - 1
+    spectrum = cond ** (-np.arange(r) / (r - 1))
+    A = random_rank_r(n, m, r, seed=67 + r, spectrum=spectrum)
+    policy = TolerancePolicy(rank_rtol=1e-12)
+    if cond == 1e10 and r == 4:
+        with pytest.raises(PreprocessingFailedError):
+            inverse_compound(compound(A, k), n, m, k, policy)
+        return
+    first, second = _rung_one_and_two(compound(A, k), n, m, k, monkeypatch, policy)
+    assert first.report.route == second.report.route == "svd"
+    assert "contraction_attempt" in first.report.stage_timings
+    assert np.array_equal(first.outcome.A, second.outcome.A)
+
+
+def _whole_unfolding(F, n, k):
+    """E[a, (S, p)] = eps(a, S) F[S + {a}, p], gathered whole and signed in a second pass."""
+    from compound_kit.exterior import _contraction_table
+
+    rows, signs = _contraction_table(n, k)
+    return (F[rows] * signs[:, :, None]).reshape(n, -1)
+
+
+@pytest.mark.parametrize(
+    "n,m,r,k,block",
+    [(9, 9, 9, 4, recovery._QR_BLOCK_ROWS), (7, 6, 5, 3, 122), (8, 8, 6, 4, 40), (6, 7, 6, 1, 4)],
+    ids=["9x9-k4-default", "7x6-r5-k3-blocks-of-122", "8x8-r6-k4-one-column-blocks", "6x7-k1"],
+)
+def test_blocked_unfolding_matches_single_qr_of_the_whole(n, m, r, k, block, monkeypatch):
+    # rung 1's F is M itself; rung 2's is a weighted SVD factor.  Blocks of
+    # 40 rows are narrower than one column of F (binom(8, 3) = 56 rows), so
+    # each block holds one column.
+    A = random_rank_r(n, m, r, seed=95 + n + k)
+    M = compound(A, k)
+    svd = reduced_svd(M)
+    monkeypatch.setattr(recovery, "_QR_BLOCK_ROWS", block)
+    for F in (M, svd.left * np.sqrt(svd.sigma)):
+        E = _whole_unfolding(F, n, k)
+        R = np.linalg.qr(E.T, mode="r")
+        _, want_values, Wt = np.linalg.svd(R, full_matrices=False)
+        frame, values = recovery._contraction_frame(F, n, k)
+        assert_allclose(values, want_values, rtol=0, atol=1e-13 * want_values[0])
+        # the top r vectors are determined up to sign; the rest span a null space
+        signs = np.sign(np.sum(frame[:, :r] * Wt[:r].T, axis=0))
+        assert_allclose(frame[:, :r] * signs, Wt[:r].T, rtol=0, atol=1e-10)
+
+
+def test_recovery_peak_memory_stays_within_four_copies_of_M():
+    # the whole unfolding of this M would be 12 x 792 x 924 entries, 10x M
+    import tracemalloc
+
+    A = random_rank_r(12, 12, 8, seed=96)
+    M = compound(A, 6)
+    inverse_compound(M, 12, 12, 6)  # build the cached plans and tables outside the measurement
+    tracemalloc.start()
+    try:
+        result = inverse_compound(M, 12, 12, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.report.route == "contraction"
+    assert sign_error(result.outcome.A, A) <= 1e-9
+    assert peak <= 4 * M.nbytes
