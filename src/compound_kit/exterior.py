@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +23,25 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, _as_float_matrix, kernel_
 
 
 @lru_cache(maxsize=None)
+def _tuple_columns(n: int, k: int) -> np.ndarray:
+    """The entries of the k-tuples over range(n) by position, shape (k, binom(n, k)).
+
+    One contiguous array, so that each row is an index the block step of
+    :func:`_minors` reads in place: ``np.take`` copies a strided or
+    read-only index array on every call.  Shared by every caller, but
+    writeable for the same reason; callers must not modify it.
+    """
+    total = binom(n, k)
+    entries = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(entries, dtype=np.intp, count=total * k).reshape(total, k).T.copy()
+
+
 def _tuple_array(n: int, k: int) -> np.ndarray:
-    """0-based index tuples as a (binom(n,k), k) array, lex order."""
-    binom(n, k)
-    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+    """0-based index tuples as a (binom(n,k), k) array, lex order.
+
+    The transposed view of :func:`_tuple_columns`, so both share one buffer.
+    """
+    return _tuple_columns(n, k).T
 
 
 def _lex_rank(tuples: np.ndarray, n: int) -> np.ndarray:
@@ -166,7 +181,7 @@ class _Level(NamedTuple):
     """
 
     grade: int
-    cols: np.ndarray  # (binom(m, s), s) column tuples over range(m)
+    cols: np.ndarray  # (s, binom(m, s)) column tuples over range(m), from _tuple_columns
     faces: np.ndarray  # (s, binom(m, s)) their face ranks, from _face_ranks
     blocks: tuple[tuple[int, int], ...]  # (start, size) of the rows with each leading index
     gather: _Gather | None
@@ -214,17 +229,17 @@ def _plan_at(
     """
     levels = []
     for s in range(seed + 1, k + 1):
-        cols, faces = _tuple_array(m, s), _face_ranks(m, s)
+        cols, faces = _tuple_columns(m, s), _face_ranks(m, s)
         sizes = [math.comb(n - 1 - a, s - 1) for a in range(k - s, n - s + 1)]
         starts = accumulate(sizes[:-1], initial=0)
         rows = sum(sizes)
         gather = None
-        if s * rows * cols.shape[0] <= gather_entries:
+        if s * rows * cols.shape[1] <= gather_entries:
             tuples = _tuple_array(n - k + s, s) + (k - s)
             tails = _lex_rank(tuples[:, 1:] - (k - s + 1), n - k + s - 1)
             negated = m * (np.arange(s) % 2)[:, None]
             gather = _Gather(
-                weights=(2 * m * tuples[:, 0])[None, :, None] + (cols.T + negated)[:, None, :],
+                weights=(2 * m * tuples[:, 0])[None, :, None] + (cols + negated)[:, None, :],
                 below=(math.comb(m, s - 1) * tails)[None, :, None] + faces[:, None, :],
             )
         levels.append(_Level(s, cols, faces, tuple(zip(starts, sizes)), gather))
@@ -252,10 +267,10 @@ def _minors(X: np.ndarray, k: int, plan: _CompoundPlan) -> np.ndarray:
             C = np.multiply(products, C.take(gather.below), out=products).sum(axis=0)
             continue
         lead = X[k - s : n - s + 1]
-        out = np.empty((blocks[-1][0] + blocks[-1][1], cols.shape[0]))
+        out = np.empty((blocks[-1][0] + blocks[-1][1], cols.shape[1]))
         for p in range(s):
             below = C.take(faces[p], axis=1)
-            weights = lead.take(cols[:, p], axis=1)
+            weights = lead.take(cols[p], axis=1)
             if p % 2:
                 weights = -weights
             for a, (start, size) in enumerate(blocks):

@@ -11,20 +11,22 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-The unique case (rank(M) > 1) takes one of two rungs.  Both find each
-side's source frame from a signed (k-1)-contraction (:func:`_contraction_frame`)
-and share every check after that.
+Every nonzero M takes one of two rungs.  Both find each side's source frame
+from a signed (k-1)-contraction (:func:`_contraction_frame`) and share every
+check after that.
 
-1. Rung 1, the contraction of M itself (route ``contraction``).  An exactly
-   zero M is the zero family at once.  Otherwise M is divided by ``max|M|``
-   (the answer is rescaled by ``max|M|^(1/k)`` at the end, so no stage sees
-   extreme magnitudes).
+1. Rung 1, the contraction of M itself (routes ``contraction`` and
+   ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
+   M is divided by ``max|M|`` (the answer is rescaled by ``max|M|^(1/k)`` at
+   the end, so no stage sees extreme magnitudes).
 
    * ``preprocess``: the left frame is the top r left singular vectors of
-     the contraction of M, and r is the rank of that contraction.  Its r
-     singular values must be pairwise distinct, which holds exactly when the
-     source singular values are.  When they are not (``M = I``, orthogonal
-     or repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
+     the contraction of M, and r is the rank of that contraction.  Rank
+     r = k means rank one, and the family comes from the same two
+     contractions (:func:`_rank_one_family`).  For r > k the r singular
+     values must be pairwise distinct, which holds exactly when the source
+     singular values are.  When they are not (``M = I``, orthogonal or
+     repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
      random Q, with no SVD per draw.
    * ``frames``: the right frame is contracted from the narrow product
      ``F = M^T compound(U, k)``, whose rank must also be r.  Then
@@ -40,14 +42,14 @@ and share every check after that.
    The side with the smaller unfolding is contracted first (M or M^T, a
    choice made from the shape alone).
 
-2. Rung 2, the SVD route (routes ``svd`` and ``rank-one``).  It
-   runs only when rung 1 cannot certify an answer: rank at most one
-   (r <= k), r > min(n, m), or any failed check of rung 1.  Its time is then
-   reported as ``contraction_attempt``.
+2. Rung 2, the SVD route (route ``svd``).  It runs only when rung 1
+   cannot certify an answer: r < k, r > min(n, m), or any failed check of
+   rung 1.  Its time is then reported as ``contraction_attempt``.
 
    * ``svd``: the compact SVD ``M = L diag(s) R^T``; its rank binom(r, k)
-     gives r, and M is divided by ``s_1``.  Rank one goes to the rank-one
-     family.
+     gives r, and M is divided by ``s_1``.  Rank one calls the rank-one
+     family again, which rung 1 has already refused, so this only gives
+     the refusal its tag.
    * ``preprocess`` and ``frames``: as in rung 1, but each side contracts
      the weighted SVD factor ``L diag(sqrt(s))`` or ``R diag(sqrt(s))``,
      which separates ill-conditioned sources better.  Its resampling runs
@@ -166,8 +168,8 @@ class RecoveryReport:
     zero families it reports k, the family grade).  ``route`` names the path
     that produced the answer: ``contraction`` (rung 1), ``svd`` (rung 2),
     ``rank-one`` or ``zero``.  ``stage_timings`` maps stage names to
-    seconds; when rung 1 hands over, its whole time is
-    ``contraction_attempt``.
+    seconds, summed over the times a stage is entered; when rung 1 hands
+    over, its whole time is ``contraction_attempt``.
     """
 
     route: str = ""
@@ -191,7 +193,8 @@ def _stage(report: RecoveryReport, name: str):
     try:
         yield
     finally:
-        report.stage_timings[name] = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        report.stage_timings[name] = report.stage_timings.get(name, 0.0) + elapsed
 
 
 def infer_base_rank(rank_m: int, k: int) -> int:
@@ -358,7 +361,9 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     and ``lam_i - lam_j = (g_i - g_j) e_{k-1}(the other g)``.  So for a
     source ``A = U Sigma V^T`` of rank r > k the top r left singular vectors
     of E are U's columns in decreasing sigma order, each up to sign, and E
-    has rank exactly r.
+    has rank exactly r.  For r = k (rank-one M) every ``lam_i`` is
+    ``e_k(g)``: E has k equal singular values, and its top k left singular
+    vectors are some orthonormal basis of span(U), not U itself.
 
     The two rungs of :func:`inverse_compound` differ only in F.  Rung 1
     contracts M itself, ``F F^T = M M^T = compound(A A^T, k)``, so
@@ -813,7 +818,7 @@ def _contraction_rung(
     k: int,
     policy: TolerancePolicy,
     report: RecoveryReport,
-) -> UniqueUpToSign | None:
+) -> UniqueUpToSign | RankOneFamily | None:
     """Rung 1 of :func:`inverse_compound`: the verified answer, or None to hand over.
 
     Every refusal of a check here hands the input to the SVD route, which
@@ -824,23 +829,26 @@ def _contraction_rung(
     right = m * math.comb(m, k - 1) * math.comb(n, k)
     try:
         if right < left:
-            A = _contract(M.T, m, n, k, policy, report)
-            A = None if A is None else A.T
+            found = _contract(M.T, m, n, k, policy, report)
+            if isinstance(found, RankOneFamily):
+                found = RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
+            elif found is not None:
+                found = found.T
         else:
-            A = _contract(M, n, m, k, policy, report)
-        if A is None:
-            return None
-        _verify(A, M, k, policy, report)
+            found = _contract(M, n, m, k, policy, report)
+        if found is None or isinstance(found, RankOneFamily):
+            return found
+        _verify(found, M, k, policy, report)
     except CompoundKitError:
         return None
     report.route = "contraction"
-    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
+    return UniqueUpToSign(A=found, sign_ambiguous=(k % 2 == 0))
 
 
 def _contract(
     M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
-) -> np.ndarray | None:
-    """A from contractions of M itself, before verification.
+) -> np.ndarray | RankOneFamily | None:
+    """A from contractions of M itself before verification, or the verified rank-one family.
 
     Returns None when the contraction rank r is out of range or the right
     side does not confirm it, and raises the tagged error of any other
@@ -848,11 +856,14 @@ def _contract(
     """
     scale = max(float(M.max()), -float(M.min()))
     with _stage(report, "preprocess"):
-        M = M / scale
-        frame, values = _contraction_frame(M, n, k)
+        unit = M / scale
+        frame, values = _contraction_frame(unit, n, k)
         r = _contraction_rank(values, n, policy)
-        if not k < r <= min(n, m):
-            return None  # rank one, or no source of this shape: the SVD route decides
+    if r == k:
+        return _rank_one_family(M, n, m, k, policy, report, frame[:, :k])
+    if not k < r <= min(n, m):
+        return None  # no source of this shape: the SVD route decides
+    with _stage(report, "preprocess"):
 
         def draw(M_tilde: np.ndarray):
             frame, values = _contraction_frame(M_tilde, n, k)
@@ -863,7 +874,7 @@ def _contract(
         # after it is structural (ill-conditioning), and the sqrt(s) weight
         # of the SVD route separates it better than more draws would
         Q, M_tilde, resamples, (U, _) = _resample(
-            M, (frame[:, :r], values[:r]), n, k, policy, draw, 1
+            unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
     report.inferred_r = r
     report.preprocessing_used = resamples > 0
@@ -901,18 +912,12 @@ def _svd_rung(
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     rho = svd.rank
-    residual = None  # the reconstruction residual, when a stage already computed it
-
+    if rho == 1:
+        return _rank_one_family(M, n, m, k, policy, report)
     if rho == 0:
         report.route = "zero"
         report.inferred_r = k
         outcome: RecoveryOutcome = RankDeficientFamily(n=n, m=m, k=k)
-        candidate = outcome.representative()
-    elif rho == 1:
-        report.route = "rank-one"
-        with _stage(report, "rank_one"):
-            outcome, residual = _rank_one_family(M, svd, n, m, k, policy)
-        report.inferred_r = k
         candidate = outcome.representative()
     else:
         report.route = "svd"
@@ -937,7 +942,7 @@ def _svd_rung(
         outcome = UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
         candidate = A
 
-    _verify(candidate, M, k, policy, report, residual)
+    _verify(candidate, M, k, policy, report)
     return outcome
 
 
@@ -991,21 +996,14 @@ def _verify(
     k: int,
     policy: TolerancePolicy,
     report: RecoveryReport,
-    residual: float | None = None,
+    error: type[CompoundKitError] = VerificationFailedError,
 ) -> None:
-    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M.
-
-    ``residual`` is the reconstruction residual when a stage already
-    computed it.
-    """
+    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M, or ``error`` is raised."""
     with _stage(report, "verify"):
-        if residual is None:
-            residual = reconstruction_residual(candidate, M, k)
+        residual = reconstruction_residual(candidate, M, k)
         report.reconstruction_residual = residual
     if not residual <= policy.residual_rtol:
-        raise VerificationFailedError(
-            f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
-        )
+        raise error(f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}")
 
 
 def reconstruction_residual(A, M, k: int) -> float:
@@ -1041,7 +1039,7 @@ def rank_one_inverse(
     """Explicit preimage family of a rank-one compound.
 
     A rank-one M factors as ``sigma * u @ v.T`` with unit u, v; both u and v
-    must be decomposable k-vectors, their wedge-matrix kernels give the
+    must be decomposable k-vectors, whose signed (k-1)-contractions give the
     orthonormal factors U and V, and spreading ``sigma^(1/k)`` across a
     diagonal produces one preimage.  All preimages differ by an inner
     determinant-one factor T.
@@ -1053,50 +1051,56 @@ def rank_one_inverse(
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
-    return _rank_one_family(M, svd, n, m, k, policy)[0]
+    return _rank_one_family(M, n, m, k, policy, RecoveryReport())
 
 
 def _rank_one_family(
-    M: np.ndarray, svd: ReducedSvd, n: int, m: int, k: int, policy: TolerancePolicy
-) -> tuple[RankOneFamily, float]:
-    """The family of :func:`rank_one_inverse` from M's rank-one SVD, and its residual."""
-    sigma = float(svd.sigma[0])
-    U, alpha = _decomposable_frame(svd.left[:, 0], n, k, policy, side="left")
-    V, beta = _decomposable_frame(svd.right[:, 0], m, k, policy, side="right")
-    Sigma = (alpha * sigma * beta) ** (1.0 / k) * np.eye(k)
+    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport,
+    U: np.ndarray | None = None,
+) -> RankOneFamily:
+    """The verified preimage family of a rank-one M, from one contraction of each side.
+
+    A nonzero k-vector is decomposable exactly when its signed
+    (k-1)-contraction has rank k, and the range is then its factor span
+    (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for
+    ``M = s u v^T`` the top k frame U of the contraction of ``M / max|M|``
+    spans u's factors, and V comes from the contraction of the narrow
+    ``F = M^T compound(U, k)``, a multiple of v.  The 1 x 1 core
+    ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` is then
+    ``+-s``: its sign goes into V's first column and ``Sigma`` is
+    ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  U is that left frame
+    when the caller already has it.  Raises NotCompoundDecomposableError
+    when a side's contraction rank is not k or the representative does not
+    reproduce M.
+    """
+    report.route = "rank-one"
+    report.inferred_r = k
+    with _stage(report, "rank_one"):
+        scale = max(float(M.max()), -float(M.min()))
+        unit = M / scale
+        if U is None:
+            U = _rank_k_frame(unit, n, k, policy, "left")
+        F = unit.T @ compound(U, k)
+        V = _rank_k_frame(F, m, k, policy, "right")
+        core = float(F[:, 0] @ compound(V, k)[:, 0])
+        if core < 0:
+            V[:, 0] = -V[:, 0]
+        Sigma = abs(core) ** (1.0 / k) * scale ** (1.0 / k) * np.eye(k)
     family = RankOneFamily(U=U, Sigma=Sigma, V=V)
-    residual = reconstruction_residual(family.representative(), M, k)
-    if not residual <= policy.residual_rtol:
-        raise NotCompoundDecomposableError(
-            f"rank-one reconstruction residual {residual:.3e} exceeds "
-            f"{policy.residual_rtol:.1e}"
-        )
-    return family, residual
+    _verify(family.representative(), M, k, policy, report, NotCompoundDecomposableError)
+    return family
 
 
-def _decomposable_frame(
-    u: np.ndarray, n: int, k: int, policy: TolerancePolicy, side: str
-) -> tuple[np.ndarray, float]:
-    """Orthonormal U with compound(U, k) = u / alpha for a unit decomposable u, alpha > 0."""
-    if k == n:
-        # single coordinate; absorb its sign into the first basis column
-        frame = np.eye(n)
-        if u[0] < 0:
-            frame[:, 0] = -frame[:, 0]
-        return frame, float(abs(u[0]))
-    basis = kernel_basis(wedge_matrix(u, n, k).data, policy)
-    if basis.shape[1] != k:
+def _rank_k_frame(F: np.ndarray, n: int, k: int, policy: TolerancePolicy, side: str) -> np.ndarray:
+    """The top k left singular vectors of the contraction of F, whose rank must be k."""
+    frame, values = _contraction_frame(F, n, k)
+    rank = _contraction_rank(values, n, policy)
+    if rank != k:
         raise NotCompoundDecomposableError(
             f"{side} singular vector is not decomposable "
-            f"(kernel dimension {basis.shape[1]}, expected {k})"
+            f"(contraction rank {rank}, expected {k})"
         )
-    w = compound(basis, k).ravel()
-    alpha = float(u @ w)
-    if alpha < 0:
-        basis = basis.copy()
-        basis[:, 0] = -basis[:, 0]
-        alpha = -alpha
-    return basis, alpha
+    return frame[:, :k]
 
 
 def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -1104,7 +1108,10 @@ def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_
 
     Projects B into the family's frame, T = Sigma^-1 U^T B V, and accepts
     when the frame reproduces B and det(T) is one, both at
-    ``policy.residual_rtol``.
+    ``policy.residual_rtol``.  The reproduction is measured relative to
+    |B|, so the test does not loosen for small families, and both norms
+    are taken after dividing by max|B|, so their squares neither overflow
+    nor underflow.  B = 0 is reproduced but fails through det(T) = 0.
     """
     B = _as_float_matrix(B, "B")
     U, Sigma, V = family.U, family.Sigma, family.V
@@ -1114,8 +1121,9 @@ def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_
         )
     T = np.diag(1.0 / np.diag(Sigma)) @ U.T @ B @ V
     reconstructed = U @ Sigma @ T @ V.T
-    scale = max(1.0, float(np.linalg.norm(B)))
-    if not float(np.linalg.norm(B - reconstructed)) <= policy.residual_rtol * scale:
+    peak = float(np.max(np.abs(B))) or 1.0
+    off_frame = np.linalg.norm((B - reconstructed) / peak)
+    if not off_frame <= policy.residual_rtol * np.linalg.norm(B / peak):
         return False
     return abs(float(np.linalg.det(T)) - 1.0) <= policy.residual_rtol
 

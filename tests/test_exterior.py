@@ -208,10 +208,24 @@ def test_compound_peak_memory_is_a_small_multiple_of_the_output():
     assert peak <= 8 * C.nbytes
 
 
+def _take_peaks(source, indices):
+    """Peak traced bytes of ``source.take(index, axis=1)`` for each index, and the last output."""
+    peaks = []
+    for index in indices:
+        tracemalloc.start()
+        try:
+            out = source.take(index, axis=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks, out
+
+
 def test_block_step_reads_its_face_index_in_place():
-    # np.take copies a read-only index array on every call, so a block step
-    # reading read-only face ranks would copy binom(m, s) indices each time;
-    # the shared face ranks stay writeable instead
+    # np.take copies a read-only or strided index array on every call, so a
+    # block step reading read-only face ranks, or a strided column of the
+    # tuple array, would copy binom(m, s) indices each time; the shared face
+    # ranks and tuple columns stay writeable and contiguous instead
     plan = _plan_at(8, 16, 4, 1, gather_entries=0)
     level = plan.levels[-1]
     index = level.faces[1]
@@ -219,17 +233,24 @@ def test_block_step_reads_its_face_index_in_place():
     below = np.random.default_rng(17).standard_normal((1, math.comb(16, 3)))
     read_only = index.copy()
     read_only.flags.writeable = False
-    peaks = []
-    for faces in (index, read_only):
-        tracemalloc.start()
-        try:
-            out = below.take(faces, axis=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks, out = _take_peaks(below, (index, read_only))
     assert out.nbytes == index.nbytes  # one row: the output is as large as the index
     assert peaks[0] < out.nbytes + index.nbytes // 2
     assert peaks[1] >= out.nbytes + index.nbytes  # the copy this avoids
+
+    # the column take: one row of the lead, indexed by the p-th entries of
+    # the column tuples
+    column = level.cols[1]
+    assert level.cols.shape == (4, math.comb(16, 4))
+    assert column.flags.writeable and column.flags.c_contiguous
+    assert level.cols is _plan_at(8, 16, 4, 1, gather_entries=0).levels[-1].cols  # shared
+    strided = np.array(list(combinations(range(16), 4)), dtype=np.intp)[:, 1]
+    assert not strided.flags.c_contiguous and np.array_equal(strided, column)
+    lead = np.random.default_rng(18).standard_normal((1, 16))
+    peaks, out = _take_peaks(lead, (column, strided))
+    assert out.nbytes == column.nbytes
+    assert peaks[0] < out.nbytes + column.nbytes // 2
+    assert peaks[1] >= out.nbytes + column.nbytes  # the copy this avoids
 
 
 def test_compound_refuses_oversized_arrays_before_allocating():

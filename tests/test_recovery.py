@@ -23,6 +23,7 @@ from compound_kit import (
     gf2_solve,
     infer_base_rank,
     inverse_compound,
+    is_decomposable,
     least_squares,
     order_compound_singular_values,
     preprocess_distinct,
@@ -467,6 +468,88 @@ def test_family_contains_shape_validation():
         family_contains(np.eye(4), family)
 
 
+@pytest.mark.parametrize(
+    "k,scale", [(2, 1e-100), (2, 1.0), (2, 1e100), (1, 1e-200), (1, 1e200)]
+)
+def test_family_contains_is_relative_at_every_scale(k, scale):
+    # B adds a rank-one term off the family's left frame, so B has rank
+    # k + 1 and no member of the family is B, however small or large the
+    # family is; at k = 1 the entries themselves reach 1e+-200, whose
+    # squares leave the float range
+    rng = np.random.default_rng(97 + k)
+    A = scale * rng.standard_normal((4, k)) @ rng.standard_normal((k, 4))
+    family = inverse_compound(compound(A, k), 4, 4, k).outcome
+    assert isinstance(family, RankOneFamily)
+    w = rng.standard_normal(4)
+    w -= family.U @ (family.U.T @ w)
+    w /= np.linalg.norm(w)
+    z = rng.standard_normal(4)
+    B = A + 0.5 * np.abs(A).max() * np.outer(w, z / np.linalg.norm(z))
+    assert np.linalg.matrix_rank(B / scale) == k + 1
+    assert family_contains(A, family)
+    assert not family_contains(B, family)
+
+
+def _wedge_factor(z, n, k):
+    """X with compound(X, k) = z when the wedge-kernel oracle finds z decomposable, else None."""
+    if k == n:
+        X = np.eye(n)  # a single coordinate is always a wedge
+    else:
+        result = is_decomposable(z, n, k)
+        if not result.decomposable:
+            return None
+        X = result.kernel.copy()
+    X[:, 0] *= z @ compound(X, k)[:, 0]
+    return X
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rank_one_outcome_matches_the_wedge_kernel_oracle(n):
+    # u v^T with each side a wedge or a Gaussian k-vector (decomposable too
+    # at k = 1, n - 1 and n): a family exactly when both sides are wedges
+    rng = np.random.default_rng(5300 + n)
+    families = refusals = 0
+    for m in range(1, 7):
+        for k in range(1, min(n, m) + 1):
+            for draw in range(4):
+                u = (compound(rng.standard_normal((n, k)), k)[:, 0] if draw & 1
+                     else rng.standard_normal(math.comb(n, k)))
+                v = (compound(rng.standard_normal((m, k)), k)[:, 0] if draw & 2
+                     else rng.standard_normal(math.comb(m, k)))
+                X, Y = _wedge_factor(u, n, k), _wedge_factor(v, m, k)
+                M = np.outer(u, v)
+                if X is None or Y is None:
+                    refusals += 1
+                    with pytest.raises(NotCompoundDecomposableError):
+                        inverse_compound(M, n, m, k)
+                    continue
+                families += 1
+                result = inverse_compound(M, n, m, k)
+                assert isinstance(result.outcome, RankOneFamily)
+                assert result.report.route == "rank-one"
+                assert family_contains(X @ Y.T, result.outcome)
+    assert families > 0 and (refusals > 0 or n < 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("n,m,k", [(4, 4, 2), (5, 4, 3), (3, 6, 3), (6, 6, 1)])
+def test_rank_one_round_trip_at_extreme_scales(n, m, k, scale):
+    rng = np.random.default_rng([n, m, k])
+    X, Y = rng.standard_normal((n, k)), rng.standard_normal((m, k))
+    M = scale * np.outer(compound(X, k), compound(Y, k))
+    A = scale ** (1.0 / k) * X @ Y.T  # compound(A, k) = M, which would overflow A's own compound
+    result = inverse_compound(M, n, m, k)
+    family = result.outcome
+    assert isinstance(family, RankOneFamily) and result.report.route == "rank-one"
+    assert family.U.shape == (n, k) and family.V.shape == (m, k)
+    assert_allclose(family.U.T @ family.U, np.eye(k), rtol=0, atol=1e-12)
+    assert_allclose(family.V.T @ family.V, np.eye(k), rtol=0, atol=1e-12)
+    assert np.all(np.diag(family.Sigma) > 0)
+    assert result.report.reconstruction_residual <= 1e-12
+    assert family_contains(A, family)
+
+
 # --- verification and closed form ---
 
 
@@ -669,12 +752,12 @@ def _rank_one_compound(n, m, k, seed):
         (compound(np.random.default_rng(71).standard_normal((6, 6)), 3), 6, 6, 3, UniqueUpToSign,
          False, 0),
         (np.eye(6), 4, 4, 2, UniqueUpToSign, True, 0),
-        (_rank_one_compound(5, 4, 3, seed=72), 5, 4, 3, RankOneFamily, False, 1),
+        (_rank_one_compound(5, 4, 3, seed=72), 5, 4, 3, RankOneFamily, False, 0),
     ],
     ids=["generic-6x6-k3", "identity-4x4-k2", "rank-one-5x4-k3"],
 )
 def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, svds, monkeypatch):
-    # the contraction of M itself needs no SVD of M; only rank one takes one
+    # the contraction of M itself needs no SVD of M, at rank one too
     calls = _count_decompositions_of(M, monkeypatch)
     result = inverse_compound(M, n, m, k)
     assert isinstance(result.outcome, outcome)
@@ -865,6 +948,7 @@ def _refusal_corpus():
     perturbed = perturbed + 1e-6 * np.abs(perturbed).max() * rng.standard_normal(perturbed.shape)
     impossible = np.zeros((15, 15))
     impossible[:6, :6] = random_rank_r(6, 6, 5, seed=23)  # rank 5 is no binom(r, 2)
+    q = np.array([1.0, 0, 0, 0, 0, 1.0])
     return [
         ("rank-2-6x6-k3", rank_two, 6, 6, 3),
         ("gaussian-6x6-k3", rng.standard_normal((20, 20)), 6, 6, 3),
@@ -874,6 +958,11 @@ def _refusal_corpus():
         ("non-binomial-rank-6x6-k2", impossible, 6, 6, 2),
         # the contraction of a 15 x 6 Gaussian M has rank 6 > min(n, m) = 4
         ("r-above-min-6x4-k2", rng.standard_normal((15, 6)), 6, 4, 2),
+        # rank one: q = e12 + e34 is no wedge, and its contraction has rank 4
+        ("q-qT-4x4-k2", np.outer(q, q), 4, 4, 2),
+        # rank one with a wedge on the contracted side and none on the other
+        ("wedge-u-gaussian-v-5x5-k2", np.outer(compound(X[:5, :2], 2), rng.standard_normal(10)),
+         5, 5, 2),
     ]
 
 
