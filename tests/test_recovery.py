@@ -542,6 +542,8 @@ def test_rank_one_round_trip_at_extreme_scales(n, m, k, scale):
     result = inverse_compound(M, n, m, k)
     family = result.outcome
     assert isinstance(family, RankOneFamily) and result.report.route == "rank-one"
+    # answered by the contraction rung: no SVD of M and no handover
+    assert set(result.report.stage_timings) == {"preprocess", "rank_one", "verify"}
     assert family.U.shape == (n, k) and family.V.shape == (m, k)
     assert_allclose(family.U.T @ family.U, np.eye(k), rtol=0, atol=1e-12)
     assert_allclose(family.V.T @ family.V, np.eye(k), rtol=0, atol=1e-12)
