@@ -11,51 +11,50 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-Every nonzero M takes one of two rungs.  Both find each side's source frame
-from a signed (k-1)-contraction (:func:`_contraction_frame`) and share every
-check after that.
+Every nonzero M takes one of two rungs.  They differ only in what they
+contract: each finds its left frame and the rank r from a signed
+(k-1)-contraction (:func:`_contraction_frame`), and both then run the same
+stages after the rank (:func:`_recover`).
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
    M is divided by ``max|M|`` (the answer is rescaled by ``max|M|^(1/k)`` at
-   the end, so no stage sees extreme magnitudes).
-
-   * ``preprocess``: the left frame is the top r left singular vectors of
-     the contraction of M, and r is the rank of that contraction.  Rank
-     r = k means rank one, and the family comes from the same two
-     contractions (:func:`_rank_one_family`).  For r > k the r singular
-     values must be pairwise distinct, which holds exactly when the source
-     singular values are.  When they are not (``M = I``, orthogonal or
-     repeated-sigma sources) M is replaced by ``compound(Q, k) @ M`` for a
-     random Q, with no SVD per draw.
-   * ``frames``: the right frame is contracted from the narrow product
-     ``F = M^T compound(U, k)``, whose rank must also be r.  Then
-     ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` must be
-     diagonal.
-   * ``singular_values``: the log-magnitudes of that diagonal give sigma
-     through the subset-incidence least squares, and its signs give the
-     column flips of V through a parity system over GF(2).  Both systems are
-     solved with factorizations cached per ``(r, k)``.
-   * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
-     scale), and a final check that ``compound(A, k)`` reproduces M.
-
-   The side with the smaller unfolding is contracted first (M or M^T, a
-   choice made from the shape alone).
+   the end, so no stage sees extreme magnitudes).  The left frame is the
+   top r left singular vectors of the contraction of M, and r is the rank
+   of that contraction.  Rank r = k means rank one, and the family comes
+   from the same two contractions (:func:`_rank_one_family`).  The side
+   with the smaller unfolding is contracted first (M or M^T, a choice made
+   from the shape alone).
 
 2. Rung 2, the SVD route (route ``svd``).  It runs only when rung 1
    cannot certify an answer: r < k, r > min(n, m), or any failed check of
-   rung 1.  Its time is then reported as ``contraction_attempt``.
+   rung 1.  Its time is then reported as ``contraction_attempt``.  The
+   ``svd`` stage takes the compact SVD ``M = L diag(s) R^T``; its rank
+   binom(r, k) gives r, and M is divided by ``s_1``.  Rank one calls the
+   rank-one family again, which rung 1 has already refused, so this only
+   gives the refusal its tag.  Otherwise the left frame is contracted from
+   the weighted factor ``L diag(sqrt(s))``, which separates ill-conditioned
+   sources better, and a failed check is the refusal, under its own tag.
 
-   * ``svd``: the compact SVD ``M = L diag(s) R^T``; its rank binom(r, k)
-     gives r, and M is divided by ``s_1``.  Rank one calls the rank-one
-     family again, which rung 1 has already refused, so this only gives
-     the refusal its tag.
-   * ``preprocess`` and ``frames``: as in rung 1, but each side contracts
-     the weighted SVD factor ``L diag(sqrt(s))`` or ``R diag(sqrt(s))``,
-     which separates ill-conditioned sources better.  Its resampling runs
-     the same loop, the loop of :func:`preprocess_distinct`.
-   * ``singular_values``, ``compose`` and ``verify`` as in rung 1; here a
-     failed check is the refusal, under its own tag.
+The stages after the rank, for r > k:
+
+* ``preprocess``: the r contraction singular values must be pairwise
+  distinct, which holds exactly when the source singular values are.  When
+  they are not (``M = I``, orthogonal or repeated-sigma sources) M is
+  replaced by ``compound(Q, k) @ M`` for a random Q (:func:`_resample`, the
+  loop of :func:`preprocess_distinct`).  Rung 1 takes one draw, which
+  contracts the new M directly; rung 2 takes up to ``max_resample``, each
+  with its own SVD.
+* ``frames``: the right frame V is the top r of the contraction of rung 1's
+  narrow ``F = M^T compound(U, k)`` or of rung 2's ``R diag(sqrt(s))``.
+  Then ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` must be
+  diagonal.
+* ``singular_values``: the log-magnitudes of that diagonal give sigma
+  through the subset-incidence least squares, and its signs give the
+  column flips of V through a parity system over GF(2).  Both systems are
+  solved with factorizations cached per ``(r, k)``.
+* ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
+  scale), and a final check that ``compound(A, k)`` reproduces M.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors (:func:`wedge_decompose`) and aligns the directions against them
@@ -216,20 +215,12 @@ def infer_base_rank(rank_m: int, k: int) -> int:
 
 
 class PreprocessResult(NamedTuple):
-    """Outcome of :func:`preprocess_distinct`.
-
-    ``svd`` is the compact SVD of ``M_tilde``.  ``frame`` (n x r) holds the
-    left singular vectors of the source of ``M_tilde``, ordered by decreasing
-    singular value and with arbitrary signs; it is None when M has rank at
-    most one, where there is nothing to separate.
-    """
+    """Outcome of :func:`preprocess_distinct`."""
 
     Q: np.ndarray
     M_tilde: np.ndarray
     used: bool
     resamples: int
-    svd: ReducedSvd
-    frame: np.ndarray | None
 
 
 def preprocess_distinct(
@@ -247,38 +238,43 @@ def preprocess_distinct(
     relative gaps must reach ``gap_rtol``.  When they do not, M is replaced
     by ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square
     Q.  Q = I and ``used=False`` when no resampling was needed.  This is the
-    preprocessing of the SVD route (rung 2) of :func:`inverse_compound`;
-    rung 1 runs the same loop on the contraction of M itself.
+    preprocessing of the SVD route (rung 2) of :func:`inverse_compound`,
+    the same loop with the same draws.
     """
     M = _as_float_matrix(M, "M")
     if M.shape[0] != binom(n, k):
         raise InvalidArgumentError(
             f"M has {M.shape[0]} rows, expected binom({n}, {k}) = {binom(n, k)}"
         )
-    return _separate(M, reduced_svd(M, policy), n, k, policy)
-
-
-def _separate(
-    M: np.ndarray, svd: ReducedSvd, n: int, k: int, policy: TolerancePolicy
-) -> PreprocessResult:
-    """The resampling loop of :func:`preprocess_distinct`, given the SVD of M."""
+    svd = reduced_svd(M, policy)
     if svd.rank <= 1:
-        return PreprocessResult(np.eye(n), M, False, 0, svd, None)
-    r = infer_base_rank(svd.rank, k)
+        return PreprocessResult(np.eye(n), M, False, 0)
+    draw = _weighted_draw(n, k, infer_base_rank(svd.rank, k), policy)
+    Q, M_tilde, resamples, _ = _resample(M, draw(M, svd), n, k, policy, draw, policy.max_resample)
+    return PreprocessResult(Q, M_tilde, resamples > 0, resamples)
 
-    def side(svd_t: ReducedSvd):
-        frame, values = _contraction_frame(svd_t.left * np.sqrt(svd_t.sigma), n, k)
-        return frame[:, :r], values[:r], svd_t
 
-    def draw(M_tilde: np.ndarray):
-        svd_t = reduced_svd(M_tilde, policy)
-        # a draw whose rank drifted through the cutoff is not usable
-        return side(svd_t) if svd_t.rank == svd.rank else None
+def _weighted_draw(n: int, k: int, r: int, policy: TolerancePolicy):
+    """The draw of rung 2 of :func:`inverse_compound` and of :func:`preprocess_distinct`.
 
-    Q, M_tilde, resamples, (frame, _, svd_t) = _resample(
-        M, side(svd), n, k, policy, draw, policy.max_resample
-    )
-    return PreprocessResult(Q, M_tilde, resamples > 0, resamples, svd_t, frame)
+    ``draw(M_tilde, svd=None)`` takes the compact SVD
+    ``M_tilde = L diag(s) R^T`` (or uses ``svd``, when given) and returns
+    ``(U, values, right)``: the top r left frame and singular values of the
+    contraction of ``L diag(sqrt(s))``, and the right factor
+    ``R diag(sqrt(s))``.  It returns None when the SVD's rank is not
+    binom(r, k), a draw whose rank drifted through the cutoff.
+    """
+
+    def draw(M_tilde: np.ndarray, svd: ReducedSvd | None = None):
+        if svd is None:
+            svd = reduced_svd(M_tilde, policy)
+        if svd.rank != math.comb(r, k):
+            return None
+        weight = np.sqrt(svd.sigma)
+        frame, values = _contraction_frame(svd.left * weight, n, k)
+        return frame[:, :r], values[:r], svd.right * weight
+
+    return draw
 
 
 def _resample(
@@ -286,12 +282,14 @@ def _resample(
 ):
     """The resampling loop of both rungs of :func:`inverse_compound`.
 
-    ``first`` is one side's ``(frame, values, ...)`` for M itself, with
+    ``first`` is ``draw``'s ``(U, values, right)`` for M itself, with
     ``values`` the r leading contraction singular values.  While their
     relative gap is below ``gap_rtol``, M is replaced by
     ``compound(Q, k) @ M`` for random n x n Q drawn from ``policy.rng()``,
     skipping essentially singular draws, and ``draw(M_tilde)`` gives the
-    same tuple for it, or None when the draw is not usable.
+    same triple for it, or None when the draw is not usable.  Rung 1 draws
+    by contracting ``M_tilde`` itself, rung 2 and
+    :func:`preprocess_distinct` by :func:`_weighted_draw`.
 
     Returns ``(Q, M_tilde, resamples, found)``, with Q the identity and
     ``resamples`` 0 when M needed no draw; raises
@@ -365,13 +363,15 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     ``e_k(g)``: E has k equal singular values, and its top k left singular
     vectors are some orthonormal basis of span(U), not U itself.
 
-    The two rungs of :func:`inverse_compound` differ only in F.  Rung 1
-    contracts M itself, ``F F^T = M M^T = compound(A A^T, k)``, so
-    ``g = sigma^2``; it needs no SVD of M, and the right side contracts the
-    narrow ``M^T compound(U, k) = compound(V Sigma, k)``, with the same g.
-    Rung 2 contracts ``F = L diag(sqrt(s))`` from the SVD
-    ``M = L diag(s) R^T``, so ``F F^T = compound(U Sigma U^T, k)`` and
-    ``g = sigma``.  The gaps between the lam then grow with the other
+    The two rungs of :func:`inverse_compound` differ only in the F they
+    contract, on each side; every stage after that is shared
+    (:func:`_recover`).  Rung 1 contracts M itself,
+    ``F F^T = M M^T = compound(A A^T, k)``, so ``g = sigma^2``; it needs no
+    SVD of M, and the right side contracts the narrow
+    ``M^T compound(U, k) = compound(V Sigma, k)``, with the same g.  Rung 2
+    contracts ``F = L diag(sqrt(s))`` from the SVD ``M = L diag(s) R^T``,
+    and ``R diag(sqrt(s))`` on the right, so ``F F^T = compound(U Sigma U^T, k)``
+    and ``g = sigma``.  The gaps between the lam then grow with the other
     singular values rather than with their squares, which is what still
     separates the frames of ill-conditioned sources whose squared gaps fall
     below ``gap_rtol``; that is why rung 2 keeps the ``sqrt(s)`` weight.
@@ -850,9 +850,8 @@ def _contract(
 ) -> np.ndarray | RankOneFamily | None:
     """A from contractions of M itself before verification, or the verified rank-one family.
 
-    Returns None when the contraction rank r is out of range or the right
-    side does not confirm it, and raises the tagged error of any other
-    check that fails.
+    Returns None when the contraction rank r is out of range, and raises
+    the tagged error of any check that fails.
     """
     scale = max(float(M.max()), -float(M.min()))
     with _stage(report, "preprocess"):
@@ -863,37 +862,18 @@ def _contract(
         return _rank_one_family(M, n, m, k, policy, report, frame[:, :k])
     if not k < r <= min(n, m):
         return None  # no source of this shape: the SVD route decides
-    with _stage(report, "preprocess"):
 
-        def draw(M_tilde: np.ndarray):
-            frame, values = _contraction_frame(M_tilde, n, k)
-            # a draw whose rank drifted through the cutoff is not usable
-            return (frame[:, :r], values[:r]) if _contraction_rank(values, n, policy) == r else None
+    def draw(M_tilde: np.ndarray):
+        frame, values = _contraction_frame(M_tilde, n, k)
+        # a draw whose rank drifted through the cutoff is not usable
+        usable = _contraction_rank(values, n, policy) == r
+        return (frame[:, :r], values[:r], None) if usable else None
 
-        # one draw makes a repeated spectrum generic; a gap still too small
-        # after it is structural (ill-conditioning), and the sqrt(s) weight
-        # of the SVD route separates it better than more draws would
-        Q, M_tilde, resamples, (U, _) = _resample(
-            unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
-        )
-    report.inferred_r = r
-    report.preprocessing_used = resamples > 0
-    report.resample_count = resamples
-    with _stage(report, "frames"):
-        F = M_tilde.T @ compound(U, k)
-        # F = compound(V Sigma, k) up to column signs has orthogonal columns;
-        # testing that first hands most non-compounds over before the right
-        # contraction
-        gram = F.T @ F
-        off_diagonal = np.linalg.norm(gram - np.diag(np.diag(gram)))
-        if not off_diagonal <= policy.residual_rtol * np.trace(gram):
-            return None
-        V, values = _contraction_frame(F, m, k)
-        if _contraction_rank(values, m, policy) != r or not _min_gap(values[:r]) >= policy.gap_rtol:
-            return None  # the right side does not confirm the left side's rank and gap
-        V = V[:, :r]
-        d = _diagonal(F.T @ compound(V, k), M_tilde, policy)
-    return _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
+    first = (frame[:, :r], values[:r], None)
+    # one draw makes a repeated spectrum generic; a gap still too small
+    # after it is structural (ill-conditioning), and the sqrt(s) weight of
+    # the SVD route separates it better than more draws would
+    return _recover(unit, scale, first, draw, 1, n, m, k, r, policy, report)
 
 
 def _svd_rung(
@@ -926,24 +906,44 @@ def _svd_rung(
             raise NotCompoundDecomposableError(
                 f"inferred source rank {r} exceeds min(n, m) = {min(n, m)}"
             )
-        report.inferred_r = r
         scale = float(svd.sigma[0])
         with _stage(report, "preprocess"):
+            unit = M / scale
+            draw = _weighted_draw(n, k, r, policy)
             # the rank cutoff is relative, so the scaled SVD keeps the same rank
-            unit_svd = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
-            pre = _separate(M / scale, unit_svd, n, k, policy)
-        report.preprocessing_used = pre.used
-        report.resample_count = pre.resamples
-        with _stage(report, "frames"):
-            U = pre.frame
-            V = _contraction_frame(pre.svd.right * np.sqrt(pre.svd.sigma), m, k)[0][:, :r]
-            d = _diagonal(compound(U, k).T @ pre.M_tilde @ compound(V, k), pre.M_tilde, policy)
-        A = _compose(U, V, d, pre.Q if pre.used else None, scale, r, k, policy, report)
+            first = draw(unit, ReducedSvd(svd.left, svd.sigma / scale, svd.right))
+        A = _recover(unit, scale, first, draw, policy.max_resample, n, m, k, r, policy, report)
         outcome = UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
         candidate = A
 
     _verify(candidate, M, k, policy, report)
     return outcome
+
+
+def _recover(
+    unit: np.ndarray, scale: float, first: tuple, draw, draws: int,
+    n: int, m: int, k: int, r: int, policy: TolerancePolicy, report: RecoveryReport,
+) -> np.ndarray:
+    """The stages after the rank, shared by both rungs: A before verification.
+
+    ``unit`` is M divided by ``scale`` and ``first`` is ``draw``'s
+    ``(U, values, right)`` for it.  :func:`_resample` separates the r
+    values with up to ``draws`` draws.  The right frame V is the top r of
+    the contraction of ``right``, or, when ``right`` is None (rung 1), of
+    the narrow ``F = M_tilde^T compound(U, k) = compound(V Sigma, k)`` up
+    to column signs.  ``F^T compound(V, k)`` must be diagonal
+    (:func:`_diagonal`), and :func:`_compose` gives A from it.
+    """
+    with _stage(report, "preprocess"):
+        Q, M_tilde, resamples, (U, _, right) = _resample(unit, first, n, k, policy, draw, draws)
+    report.inferred_r = r
+    report.preprocessing_used = resamples > 0
+    report.resample_count = resamples
+    with _stage(report, "frames"):
+        F = M_tilde.T @ compound(U, k)
+        V = _contraction_frame(F if right is None else right, m, k)[0][:, :r]
+        d = _diagonal(F.T @ compound(V, k), M_tilde, policy)
+    return _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
 
 
 def _diagonal(core: np.ndarray, M_tilde: np.ndarray, policy: TolerancePolicy) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .combinat import IndexTuple, binom, lex_tuples
+from .combinat import IndexTuple, lex_tuples
 from .errors import InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 

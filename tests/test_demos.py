@@ -1,4 +1,4 @@
-"""Every script in ``demos/`` runs to completion against the package in ``src/``."""
+"""Every script in ``demos/`` runs to completion, warnings as errors, against the package in ``src/``."""
 
 import os
 import subprocess
@@ -19,6 +19,7 @@ def test_demos_exist():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

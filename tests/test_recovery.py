@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from compound_kit import (
+    CompoundKitError,
     InconsistentCompoundValuesError,
     InvalidArgumentError,
     NotCompoundDecomposableError,
@@ -869,7 +872,7 @@ def _orthogonal(n, seed):
     [(np.eye(4), 2), (_orthogonal(5, 75), 2), (_orthogonal(5, 76), 3)],
     ids=["identity-4x4-k2", "orthogonal-5x5-k2", "orthogonal-5x5-k3"],
 )
-def test_preprocess_entry_points_share_one_loop(A, k):
+def test_preprocess_entry_points_share_one_loop(A, k, monkeypatch):
     n = A.shape[0]
     M = compound(A, k)
     scale = reduced_svd(M).sigma[0]
@@ -884,6 +887,15 @@ def test_preprocess_entry_points_share_one_loop(A, k):
         A_tilde = inverse_compound(pre.M_tilde, n, n, k, policy).outcome.A
         A_pre = np.linalg.solve(pre.Q, A_tilde) * scale ** (1.0 / k)
         assert sign_error(A_pre, A) <= 1e-8
+    # rung 2 alone: its resampling is preprocess_distinct's loop, draw for draw
+    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    for seed in range(10):
+        policy = TolerancePolicy(rng_seed=seed)
+        pre = preprocess_distinct(M / scale, n, k, policy)
+        result = inverse_compound(M, n, n, k, policy)
+        assert result.report.route == "svd"
+        assert pre.resamples == result.report.resample_count
+        assert sign_error(result.outcome.A, A) <= 1e-8
 
 
 # --- row-blocked QR of the contraction unfolding ---
@@ -1050,3 +1062,77 @@ def test_recovery_peak_memory_stays_within_four_copies_of_M():
     assert result.report.route == "contraction"
     assert sign_error(result.outcome.A, A) <= 1e-9
     assert peak <= 4 * M.nbytes
+
+
+def test_k1_source_near_the_rank_cutoff_is_its_own_compound():
+    # every matrix is its own 1-compound.  sigma_2 / sigma_1 = 5e-10 lies
+    # between the rank cutoffs of the 2-row contraction (2e-10) and of the
+    # 8-row SVD (8e-10), so the contraction sees rank 2 and the SVD rank one
+    rng = np.random.default_rng(97)
+    U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((8, 2)))[0]
+    M = U @ np.diag([1.0, 5e-10]) @ V.T
+    result = inverse_compound(M, 2, 8, 1)
+    assert result.report.route == "contraction"
+    assert result.report.inferred_r == 2
+    assert reconstruction_residual(result.outcome.A, M, 1) <= 1e-12
+
+
+# --- the tag contract ---
+
+_CONTRACT_KINDS = [
+    "exact", "rank-deficient", "repeated-pair", "scaled", "perturbed", "gaussian", "outer",
+]
+
+
+@st.composite
+def _contract_inputs(draw):
+    """(kind, M, n, m, k) with n, m <= 6 and every k, from one seeded generator."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, m)))
+    kind = draw(st.sampled_from(_CONTRACT_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = math.comb(n, k), math.comb(m, k)
+    if kind == "gaussian":
+        return kind, rng.standard_normal((rows, cols)), n, m, k
+    if kind == "outer":
+        return kind, np.outer(rng.standard_normal(rows), rng.standard_normal(cols)), n, m, k
+    r = min(n, m)
+    if kind == "rank-deficient":
+        r = int(rng.integers(0, r))
+    spectrum = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
+    if kind == "repeated-pair" and r > 1:
+        i = int(rng.integers(0, r - 1))
+        spectrum[i + 1] = spectrum[i]
+    U = np.linalg.qr(rng.standard_normal((n, max(r, 1))))[0][:, :r]
+    V = np.linalg.qr(rng.standard_normal((m, max(r, 1))))[0][:, :r]
+    M = compound(U @ np.diag(spectrum) @ V.T, k)
+    if kind == "scaled":
+        M = M * 10.0 ** float(rng.choice([-200, -100, 100, 200]))
+    elif kind == "perturbed":
+        noise = 10.0 ** rng.uniform(-12, -4) * np.abs(M).max()
+        M = M + noise * rng.standard_normal(M.shape)
+    return kind, M, n, m, k
+
+
+@pytest.mark.filterwarnings("error")
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_contract_inputs())
+def test_every_call_answers_verified_or_refuses_with_a_tag(case):
+    # either a tagged refusal or an outcome that reproduces M; the zero
+    # family only for an exactly zero M
+    kind, M, n, m, k = case
+    policy = TolerancePolicy()
+    try:
+        outcome = inverse_compound(M, n, m, k, policy).outcome
+    except CompoundKitError as err:
+        assert isinstance(err.tag, str) and err.tag
+        return
+    if isinstance(outcome, RankDeficientFamily):
+        assert not np.any(M), kind
+        return
+    representative = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
+    assert reconstruction_residual(representative, M, k) <= policy.residual_rtol, kind
