@@ -99,18 +99,21 @@ def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, signs
 
 
-# Cost model of compound(), in nanoseconds on one core.  A batched LU
-# determinant costs a call overhead plus, per minor, a constant and a term in
-# s^2 (gathering the s x s block outweighs the s^3 / 3 flops at these sizes).
-# A block Laplace level s costs s gather-multiply-adds over its entries plus
-# s steps of interpreter overhead; a gathered level costs one step plus its
-# s * rows * cols products.  The constants are a non-negative least-squares
-# fit, weighted by 1 / time, to timings of the kernel at every seed level on
-# 229 shapes (n <= m <= n + 2, n up to 13, every k from 2 to n; 1164
-# timings, each the best of 10 batch means, on one core of a 2-vCPU Intel
-# Xeon with NumPy 2.4 and OpenBLAS).  On those shapes the chosen seed was
-# 2.3% slower in total than the fastest seed, and at worst 1.4x on a 2 ms
-# shape.
+# Cost model of compound(), in nanoseconds on one core.  The batched LU
+# determinant of all k x k blocks costs a call overhead plus, per minor, a
+# constant and a term in k^2 (gathering the k x k block outweighs the k^3 / 3
+# flops at these sizes).  A block Laplace level s costs s gather-multiply-adds
+# over its entries plus s steps of interpreter overhead; a gathered level costs
+# one step plus its s * rows * cols products.  The constants are a
+# non-negative least-squares fit, weighted by 1 / time, to timings of the
+# kernel started from every level s0 (the LU stack at level s0, then Laplace
+# levels s0+1..k) on 229 shapes (n <= m <= n + 2, n up to 13, every k from 2
+# to n; 1164 timings, each the best of 10 batch means, on one core of a
+# 2-vCPU Intel Xeon with NumPy 2.4 and OpenBLAS).  On those shapes the
+# modelled choice was 2.3% slower in total than the fastest start, and at
+# worst 1.4x on a 2 ms shape.  The model prices no intermediate start below
+# both ends, the LU stack (s0 = k) and the levels from X's rows (s0 = 1), on
+# any admissible shape up to 119 x 120, so compound() keeps only those two.
 _LU_CALL_NS = 6200.0
 _LU_MINOR_NS = 138.0
 _LU_ENTRY_NS = 18.6
@@ -127,11 +130,13 @@ def _level_shape(n: int, m: int, k: int, s: int) -> tuple[int, int]:
     return math.comb(n - k + s, s), math.comb(m, s)
 
 
-def _seed_cost(n: int, m: int, k: int, seed: int) -> float:
-    """Modelled nanoseconds of compound() seeded by LU determinants at level ``seed``."""
-    rows, cols = _level_shape(n, m, k, seed)
-    cost = 0.0 if seed == 1 else _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * seed**2)
-    for s in range(seed + 1, k + 1):
+def _plan_cost(n: int, m: int, k: int, lu: bool) -> float:
+    """Modelled nanoseconds of compound() by the LU stack (``lu``) or by the Laplace levels."""
+    if lu:
+        rows, cols = _level_shape(n, m, k, k)
+        return _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * k**2)
+    cost = 0.0
+    for s in range(2, k + 1):
         rows, cols = _level_shape(n, m, k, s)
         products = s * rows * cols
         if products <= _GATHER_ENTRIES:
@@ -141,17 +146,18 @@ def _seed_cost(n: int, m: int, k: int, seed: int) -> float:
     return cost
 
 
-def _largest_array(n: int, m: int, k: int, seed: int) -> int:
-    """Entries of the largest array compound() allocates when seeded at level ``seed``.
+def _largest_array(n: int, m: int, k: int, lu: bool) -> int:
+    """Entries of the largest array compound() allocates by the LU stack (``lu``) or the levels.
 
-    That is the seed's (rows, cols, seed, seed) block stack or the largest
-    level; a level's index arrays have ``s`` entries per column.  The
-    temporaries of a gathered level hold at most ``_GATHER_ENTRIES``
-    entries, far below any cap, and are not counted.
+    That is the (rows, cols, k, k) block stack or the largest level; a
+    level's index arrays have ``s`` entries per column.  The temporaries of
+    a gathered level hold at most ``_GATHER_ENTRIES`` entries, far below any
+    cap, and are not counted.
     """
-    rows, cols = _level_shape(n, m, k, seed)
-    largest = rows * cols * seed * seed
-    for s in range(seed + 1, k + 1):
+    if lu:
+        return math.comb(n, k) * math.comb(m, k) * k * k
+    largest = 0
+    for s in range(2, k + 1):
         rows, cols = _level_shape(n, m, k, s)
         largest = max(largest, max(rows, s) * cols)
     return largest
@@ -187,48 +193,40 @@ class _Level(NamedTuple):
     gather: _Gather | None
 
 
-class _CompoundPlan(NamedTuple):
-    seed: int
-    seed_rows: np.ndarray  # (rows, seed) row tuples of the seed level; unused at seed 1
-    seed_cols: np.ndarray  # (cols, seed) column tuples of the seed level
-    levels: tuple[_Level, ...]
-
-
 @lru_cache(maxsize=None)
-def _compound_plan(n: int, m: int, k: int) -> _CompoundPlan:
+def _compound_plan(n: int, m: int, k: int) -> tuple[_Level, ...]:
     """Plan of compound() for an n x m input with 2 <= k <= n <= m.
 
-    The seed minimizes the modelled cost among the seeds whose column sets
-    stay within MAX_TUPLE_COUNT and whose largest array stays within
-    MAX_ARRAY_ENTRIES; InvalidArgumentError is raised, before any array is
-    allocated, when no seed qualifies.
+    The Laplace levels 2..k (:func:`_levels`), or no levels for the batched
+    LU of all k x k blocks, whichever the cost model prices lower among
+    those whose column sets stay within MAX_TUPLE_COUNT and whose largest
+    array stays within MAX_ARRAY_ENTRIES; InvalidArgumentError is raised,
+    before any array is allocated, when neither qualifies.
     """
     binom(m, k)  # the tagged tuple-cap error; binom(n, k) is no larger
     fits = [
-        s0
-        for s0 in range(1, k + 1)
-        if max(math.comb(m, s) for s in range(s0, k + 1)) <= MAX_TUPLE_COUNT
-        and _largest_array(n, m, k, s0) <= MAX_ARRAY_ENTRIES
+        lu
+        for lu in (False, True)
+        if (lu or max(math.comb(m, s) for s in range(2, k + 1)) <= MAX_TUPLE_COUNT)
+        and _largest_array(n, m, k, lu) <= MAX_ARRAY_ENTRIES
     ]
     if not fits:
-        need = min(_largest_array(n, m, k, s0) for s0 in range(1, k + 1))
+        need = min(_largest_array(n, m, k, lu) for lu in (False, True))
         raise InvalidArgumentError(
             f"compound of a {n} x {m} matrix at k={k} needs an array of {need} entries, "
             f"above the cap of {MAX_ARRAY_ENTRIES}"
         )
-    return _plan_at(n, m, k, min(fits, key=lambda s0: _seed_cost(n, m, k, s0)))
+    return () if min(fits, key=lambda lu: _plan_cost(n, m, k, lu)) else _levels(n, m, k)
 
 
-def _plan_at(
-    n: int, m: int, k: int, seed: int, gather_entries: int = _GATHER_ENTRIES
-) -> _CompoundPlan:
-    """Index arrays of compound() for an n x m input seeded at level ``seed``.
+def _levels(n: int, m: int, k: int, gather_entries: int = _GATHER_ENTRIES) -> tuple[_Level, ...]:
+    """Index arrays of the Laplace levels 2..k of compound() for an n x m input.
 
     A level is gathered when its products number at most ``gather_entries``;
     tests pass 0 or a huge value to force one step kind on every level.
     """
     levels = []
-    for s in range(seed + 1, k + 1):
+    for s in range(2, k + 1):
         cols, faces = _tuple_columns(m, s), _face_ranks(m, s)
         sizes = [math.comb(n - 1 - a, s - 1) for a in range(k - s, n - s + 1)]
         starts = accumulate(sizes[:-1], initial=0)
@@ -243,21 +241,24 @@ def _plan_at(
                 below=(math.comb(m, s - 1) * tails)[None, :, None] + faces[:, None, :],
             )
         levels.append(_Level(s, cols, faces, tuple(zip(starts, sizes)), gather))
-    return _CompoundPlan(
-        seed, _tuple_array(n - k + seed, seed) + (k - seed), _tuple_array(m, seed), tuple(levels)
-    )
+    return tuple(levels)
 
 
-def _minors(X: np.ndarray, k: int, plan: _CompoundPlan) -> np.ndarray:
-    """All k x k minors of an n x m matrix X with n <= m, computed by ``plan``."""
-    n = X.shape[0]
-    if plan.seed == 1:
-        C = X[k - 1 :]
-    else:
-        rows, cols = plan.seed_rows, plan.seed_cols
-        C = np.linalg.det(X[rows[:, None, :, None], cols[None, :, None, :]])
+def _minors(X: np.ndarray, k: int, levels: tuple[_Level, ...]) -> np.ndarray:
+    """All k x k minors of an n x m matrix X with n <= m, built by ``levels``.
+
+    With no levels they are the batched LU determinants of all k x k blocks.
+    """
+    n, m = X.shape
+    if not levels:
+        rows, cols = _tuple_array(n, k), _tuple_array(m, k)
+        # det warns of a division by zero on a singular block whose
+        # elimination meets a subnormal pivot, and returns its 0 all the same
+        with np.errstate(divide="ignore"):
+            return np.linalg.det(X[rows[:, None, :, None], cols[None, :, None, :]])
+    C = X[k - 1 :]
     signed = None
-    for s, cols, faces, blocks, gather in plan.levels:
+    for s, cols, faces, blocks, gather in levels:
         if gather is not None:
             if signed is None:
                 signed = np.concatenate((X, -X), axis=1)
@@ -319,23 +320,22 @@ def compound(X, k: int) -> np.ndarray:
 
         C_s[T, J] = sum_p (-1)^p X[T_0, J_p] C_{s-1}[T - T_0, J - J_p]
 
-    with no k x k blocks.  Above a seed level s0 that costs
-    ``sum_{s > s0} s * binom(n-k+s, s) * binom(m, s)`` multiply-adds.  A level
-    with at most 2^14 such products is built in one gathered step: the
-    signed weights ``(-1)^p X[T_0, J_p]`` and the lower minors are gathered
-    into two (s, rows, cols) arrays by flat indices cached in the plan,
-    multiplied, and summed over p.  A larger level is built in s steps, each
-    one gather of the level below and one multiply-add per leading index of
-    T, so besides the level it holds only the level below and one gather of
-    it.  Both steps add the s products of an entry in the same order, so
-    they round alike.  The seed level is one batched LU determinant over its
-    (rows, cols, s0, s0) block stack; at s0 = 1 it is just the last n-k+1
-    rows of X.  A fixed cost model, cached with the index arrays per
-    (n, m, k), picks s0: level 1 where the levels stay small, and s0 = k,
-    the plain LU stack, where it has few minors: mostly at k = min(n, m),
-    at k = 3 on 4 x 4 and k = 4 on 5 x 5, and for k near min(n, m) on
-    larger shapes, where the levels would pass through the middle binomials
-    binom(m, m/2).
+    with no k x k blocks.  Level 1 is the last n-k+1 rows of X, and levels
+    2..k cost ``sum_{s >= 2} s * binom(n-k+s, s) * binom(m, s)``
+    multiply-adds.  A level with at most 2^14 such products is built in one
+    gathered step: the signed weights ``(-1)^p X[T_0, J_p]`` and the lower
+    minors are gathered into two (s, rows, cols) arrays by flat indices
+    cached in the plan, multiplied, and summed over p.  A larger level is
+    built in s steps, each one gather of the level below and one
+    multiply-add per leading index of T, so besides the level it holds only
+    the level below and one gather of it.  Both steps add the s products of
+    an entry in the same order, so they round alike.  The other kernel is
+    one batched LU determinant over the (rows, cols, k, k) stack of all
+    blocks.  A fixed cost model, cached with the index arrays per (n, m, k),
+    picks LU stack or Laplace levels: the levels where they stay small, and
+    the LU stack where it has few minors: mostly at k = min(n, m), at k = 3
+    on 4 x 4 and k = 4 on 5 x 5, and for k near min(n, m) on larger shapes,
+    where the levels would pass through the middle binomials binom(m, m/2).
     """
     X = _as_float_matrix(X)
     n, m = X.shape

@@ -11,10 +11,11 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-Every nonzero M takes one of two rungs.  They differ only in what they
-contract: each finds its left frame and the rank r from a signed
-(k-1)-contraction (:func:`_contraction_frame`), and both then run the same
-stages after the rank (:func:`_recover`).
+Every nonzero M takes one of two rungs.  They differ only in their scale,
+their first contraction and their draw: each finds its left frame and the
+rank r from a signed (k-1)-contraction (:func:`_contraction_frame`), and
+both then run the same stages after the rank, verification included
+(:func:`_recover`).
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
@@ -23,12 +24,13 @@ stages after the rank (:func:`_recover`).
    top r left singular vectors of the contraction of M, and r is the rank
    of that contraction.  Rank r = k means rank one, and the family comes
    from the same two contractions (:func:`_rank_one_family`).  The side
-   with the smaller unfolding is contracted first (M or M^T, a choice made
-   from the shape alone).
+   with the smaller unfolding is contracted (a choice made from the shape
+   alone): when that is M^T = compound(A^T, k), the answer is found and
+   verified for M^T and then transposed.
 
-2. Rung 2, the SVD route (route ``svd``).  It runs only when rung 1
-   cannot certify an answer: r < k, r > min(n, m), or any failed check of
-   rung 1.  Its time is then reported as ``contraction_attempt``.  The
+2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
+   any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
+   among them; its time is then reported as ``contraction_attempt``.  The
    ``svd`` stage takes the compact SVD ``M = L diag(s) R^T``; its rank
    binom(r, k) gives r, and M is divided by ``s_1``.  Rank one calls the
    rank-one family again, which rung 1 has already refused, so this only
@@ -54,7 +56,9 @@ The stages after the rank, for r > k:
   column flips of V through a parity system over GF(2).  Both systems are
   solved with factorizations cached per ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
-  scale), and a final check that ``compound(A, k)`` reproduces M.
+  scale), and a final check that ``compound(A, k)`` reproduces M.  This is
+  the one place either rung verifies an answer of rank r > k; the rank-one
+  family verifies its representative the same way.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors (:func:`wedge_decompose`) and aligns the directions against them
@@ -775,10 +779,12 @@ def inverse_compound(
 
     Raises
     ------
+    InvalidArgumentError
+        If M's shape does not match (n, m, k), or if a nonzero M has
+        numerical rank 0 under ``policy.rank_rtol``.
     NotCompoundDecomposableError
-        If the rank of M is not a binomial binom(r, k), if r would exceed
-        the requested shape, or if the final check fails
-        (:class:`VerificationFailedError`).
+        If the rank of M is not a binomial binom(r, k), or if the final
+        check fails (:class:`VerificationFailedError`).
     NumericalFailureError
         If a pipeline stage fails at the configured tolerances; in
         particular :class:`DecompositionFailedError` when M is not diagonal
@@ -824,35 +830,27 @@ def _contraction_rung(
     Every refusal of a check here hands the input to the SVD route, which
     decides it under its own tags; ``report`` is then discarded.
     """
-    # contract the smaller of the unfoldings of M and M^T = compound(A^T, k)
-    left = n * math.comb(n, k - 1) * math.comb(m, k)
-    right = m * math.comb(m, k - 1) * math.comb(n, k)
     try:
-        if right < left:
-            found = _contract(M.T, m, n, k, policy, report)
-            if isinstance(found, RankOneFamily):
-                found = RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
-            elif found is not None:
-                found = found.T
-        else:
-            found = _contract(M, n, m, k, policy, report)
-        if found is None or isinstance(found, RankOneFamily):
-            return found
-        _verify(found, M, k, policy, report)
+        return _contract(M, n, m, k, policy, report)
     except CompoundKitError:
         return None
-    report.route = "contraction"
-    return UniqueUpToSign(A=found, sign_ambiguous=(k % 2 == 0))
 
 
 def _contract(
     M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
-) -> np.ndarray | RankOneFamily | None:
-    """A from contractions of M itself before verification, or the verified rank-one family.
+) -> UniqueUpToSign | RankOneFamily:
+    """The verified answer from contractions of M itself, or the tagged error of a failed check.
 
-    Returns None when the contraction rank r is out of range, and raises
-    the tagged error of any check that fails.
+    The side with the smaller unfolding is contracted: when that is M^T =
+    compound(A^T, k), the answer for M^T is found and transposed.  A
+    contraction rank r outside ``k <= r <= min(n, m)`` raises
+    :class:`NotCompoundDecomposableError`.
     """
+    if m * math.comb(m, k - 1) * math.comb(n, k) < n * math.comb(n, k - 1) * math.comb(m, k):
+        found = _contract(M.T, m, n, k, policy, report)
+        if isinstance(found, RankOneFamily):
+            return RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
+        return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous)
     scale = max(float(M.max()), -float(M.min()))
     with _stage(report, "preprocess"):
         unit = M / scale
@@ -861,7 +859,7 @@ def _contract(
     if r == k:
         return _rank_one_family(M, n, m, k, policy, report, frame[:, :k])
     if not k < r <= min(n, m):
-        return None  # no source of this shape: the SVD route decides
+        raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
 
     def draw(M_tilde: np.ndarray):
         frame, values = _contraction_frame(M_tilde, n, k)
@@ -869,11 +867,12 @@ def _contract(
         usable = _contraction_rank(values, n, policy) == r
         return (frame[:, :r], values[:r], None) if usable else None
 
+    report.route = "contraction"
     first = (frame[:, :r], values[:r], None)
     # one draw makes a repeated spectrum generic; a gap still too small
     # after it is structural (ill-conditioning), and the sqrt(s) weight of
     # the SVD route separates it better than more draws would
-    return _recover(unit, scale, first, draw, 1, n, m, k, r, policy, report)
+    return _recover(M, unit, scale, first, draw, 1, n, m, k, r, policy, report)
 
 
 def _svd_rung(
@@ -883,7 +882,7 @@ def _svd_rung(
     k: int,
     policy: TolerancePolicy,
     report: RecoveryReport,
-) -> RecoveryOutcome:
+) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
     One SVD of M, then the contraction of its weighted factors; every failed
@@ -891,40 +890,24 @@ def _svd_rung(
     """
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
-    rho = svd.rank
-    if rho == 1:
+    if svd.rank == 1:
         return _rank_one_family(M, n, m, k, policy, report)
-    if rho == 0:
-        report.route = "zero"
-        report.inferred_r = k
-        outcome: RecoveryOutcome = RankDeficientFamily(n=n, m=m, k=k)
-        candidate = outcome.representative()
-    else:
-        report.route = "svd"
-        r = infer_base_rank(rho, k)
-        if r > min(n, m):
-            raise NotCompoundDecomposableError(
-                f"inferred source rank {r} exceeds min(n, m) = {min(n, m)}"
-            )
-        scale = float(svd.sigma[0])
-        with _stage(report, "preprocess"):
-            unit = M / scale
-            draw = _weighted_draw(n, k, r, policy)
-            # the rank cutoff is relative, so the scaled SVD keeps the same rank
-            first = draw(unit, ReducedSvd(svd.left, svd.sigma / scale, svd.right))
-        A = _recover(unit, scale, first, draw, policy.max_resample, n, m, k, r, policy, report)
-        outcome = UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
-        candidate = A
-
-    _verify(candidate, M, k, policy, report)
-    return outcome
+    report.route = "svd"
+    r = infer_base_rank(svd.rank, k)
+    scale = float(svd.sigma[0])
+    with _stage(report, "preprocess"):
+        unit = M / scale
+        draw = _weighted_draw(n, k, r, policy)
+        # the rank cutoff is relative, so the scaled SVD keeps the same rank
+        first = draw(unit, ReducedSvd(svd.left, svd.sigma / scale, svd.right))
+    return _recover(M, unit, scale, first, draw, policy.max_resample, n, m, k, r, policy, report)
 
 
 def _recover(
-    unit: np.ndarray, scale: float, first: tuple, draw, draws: int,
+    M: np.ndarray, unit: np.ndarray, scale: float, first: tuple, draw, draws: int,
     n: int, m: int, k: int, r: int, policy: TolerancePolicy, report: RecoveryReport,
-) -> np.ndarray:
-    """The stages after the rank, shared by both rungs: A before verification.
+) -> UniqueUpToSign:
+    """The stages after the rank, shared by both rungs: the verified answer.
 
     ``unit`` is M divided by ``scale`` and ``first`` is ``draw``'s
     ``(U, values, right)`` for it.  :func:`_resample` separates the r
@@ -932,7 +915,8 @@ def _recover(
     the contraction of ``right``, or, when ``right`` is None (rung 1), of
     the narrow ``F = M_tilde^T compound(U, k) = compound(V Sigma, k)`` up
     to column signs.  ``F^T compound(V, k)`` must be diagonal
-    (:func:`_diagonal`), and :func:`_compose` gives A from it.
+    (:func:`_diagonal`), :func:`_compose` gives A from it, and
+    :func:`_verify` checks A against M.
     """
     with _stage(report, "preprocess"):
         Q, M_tilde, resamples, (U, _, right) = _resample(unit, first, n, k, policy, draw, draws)
@@ -943,7 +927,9 @@ def _recover(
         F = M_tilde.T @ compound(U, k)
         V = _contraction_frame(F if right is None else right, m, k)[0][:, :r]
         d = _diagonal(F.T @ compound(V, k), M_tilde, policy)
-    return _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
+    A = _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
+    _verify(A, M, k, policy, report)
+    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 
 
 def _diagonal(core: np.ndarray, M_tilde: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -1025,8 +1011,6 @@ def reconstruction_residual(A, M, k: int) -> float:
 def _canonicalize_sign(A: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
     flat = A.ravel(order="F")
     peak = float(np.max(np.abs(flat)))
-    if peak == 0.0:
-        return A
     nonzero = np.nonzero(np.abs(flat) > policy.rank_rtol * peak)[0]
     if nonzero.size and flat[nonzero[0]] < 0:
         return -A

@@ -23,7 +23,7 @@ from compound_kit import (
     wedge,
     wedge_matrix,
 )
-from compound_kit.exterior import _GATHER_ENTRIES, _compound_plan, _minors, _plan_at
+from compound_kit.exterior import _GATHER_ENTRIES, _compound_plan, _levels, _minors
 from compound_kit.testkit import MAX_ORACLE_GRADE, load_fixtures, reference_compound
 
 
@@ -80,7 +80,10 @@ def sliced_minors(X, k):
     """Every k x k minor of X by np.linalg.det of its sliced block, lex order."""
     rows = list(combinations(range(X.shape[0]), k))
     cols = list(combinations(range(X.shape[1]), k))
-    return np.array([[np.linalg.det(X[np.ix_(I, J)]) for J in cols] for I in rows])
+    # det warns of a division by zero on a singular block whose elimination
+    # meets a subnormal pivot (such as 1e-224 * 4e-100), and returns its 0
+    with np.errstate(divide="ignore"):
+        return np.array([[np.linalg.det(X[np.ix_(I, J)]) for J in cols] for I in rows])
 
 
 def minor_tolerance(X, k):
@@ -109,15 +112,15 @@ def test_compound_matches_sliced_determinants(case):
 @settings(max_examples=150, deadline=None)
 @given(matrix_and_grade(), st.data())
 def test_every_seed_level_matches_sliced_determinants(case, data):
-    # the cost model seeds at 1 or at k on every shape up to 29 x 44, so the
-    # intermediate seeds are reached through the plan builder directly
+    # both kernels, whichever the cost model picks: seed 1 is the Laplace
+    # levels built from X's rows, seed k the LU stack of all k x k blocks
     X, k = case
     assume(k > 1)
     if X.shape[0] > X.shape[1]:
         X = X.T
     n, m = X.shape
-    seed = data.draw(st.integers(1, k), label="seed")
-    got = _minors(X, k, _plan_at(n, m, k, seed))
+    seed = data.draw(st.sampled_from((1, k)), label="seed")
+    got = _minors(X, k, () if seed == k else _levels(n, m, k))
     assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
 
 
@@ -132,11 +135,11 @@ def test_gathered_and_block_steps_agree_at_every_seed(case, data):
     if X.shape[0] > X.shape[1]:
         X = X.T
     n, m = X.shape
-    seed = data.draw(st.integers(1, k), label="seed")
-    gathered = _plan_at(n, m, k, seed, gather_entries=2**62)
-    block = _plan_at(n, m, k, seed, gather_entries=0)
-    assert all(level.gather is not None for level in gathered.levels)
-    assert all(level.gather is None for level in block.levels)
+    seed = data.draw(st.sampled_from((1, k)), label="seed")
+    gathered = () if seed == k else _levels(n, m, k, gather_entries=2**62)
+    block = () if seed == k else _levels(n, m, k, gather_entries=0)
+    assert all(level.gather is not None for level in gathered)
+    assert all(level.gather is None for level in block)
     got = _minors(X, k, gathered)
     assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
     assert np.array_equal(got, _minors(X, k, block))
@@ -148,28 +151,28 @@ def test_gathered_and_block_steps_agree_at_every_seed(case, data):
      ((18, 18), 17, 17), ((4, 4), 3, 3)],
 )
 def test_compound_plan_seed_choice(shape, k, seed):
-    # level 1 where the levels stay small; the plain LU stack at 4x4 and 5x5
-    # with k >= min(n, m) - 1 and for k near min(n, m), where the levels pass
+    # seed 1, the Laplace levels 2..k, where the levels stay small; seed k,
+    # the plain LU stack with no levels, at 4x4 and 5x5 with
+    # k >= min(n, m) - 1 and for k near min(n, m), where the levels pass
     # through binom(18, 9)
-    assert _compound_plan(*shape, k).seed == seed
-    assert [level.grade for level in _compound_plan(*shape, k).levels] == list(range(seed + 1, k + 1))
+    assert [level.grade for level in _compound_plan(*shape, k)] == list(range(seed + 1, k + 1))
 
 
 @pytest.mark.parametrize("shape, k", [((6, 6), 3), ((8, 8), 4), ((5, 7), 3), ((7, 5), 3), ((9, 6), 4)])
 def test_compound_of_integer_matrix_is_exact(shape, k):
-    # from level 1 every minor is a sum of products of small integers, exact
-    # in float64; a batched LU determinant rounds
+    # through the levels every minor is a sum of products of small integers,
+    # exact in float64; a batched LU determinant rounds
     n, m = shape
-    assert _compound_plan(min(n, m), max(n, m), k).seed == 1
+    assert len(_compound_plan(min(n, m), max(n, m), k)) == k - 1  # levels 2..k, not LU
     X = np.random.default_rng(n * m + k).integers(-9, 10, size=shape).astype(float)
     assert np.array_equal(compound(X, k), reference_compound(X, k))
 
 
 @pytest.mark.parametrize("shape, k", [((4, 4), 2), ((5, 5), 3), ((6, 6), 4)])
 def test_gathered_seed_one_is_exact_on_integer_matrices(shape, k):
-    # shapes the gathered steps moved from an LU seed to level 1, where every
-    # minor is a sum of products of small integers, exact in float64
-    assert _compound_plan(*shape, k).seed == 1
+    # shapes the gathered steps moved from the LU stack to the levels, where
+    # every minor is a sum of products of small integers, exact in float64
+    assert len(_compound_plan(*shape, k)) == k - 1  # levels 2..k, not the LU stack
     X = np.random.default_rng(shape[0] * 10 + k).integers(-9, 10, size=shape).astype(float)
     assert np.array_equal(compound(X, k), reference_compound(X, k))
 
@@ -178,12 +181,12 @@ def test_gathered_steps_stay_under_the_cap():
     for n in range(2, 14):
         for m in range(n, 16):
             for k in range(2, n + 1):
-                for level in _compound_plan(n, m, k).levels:
+                for level in _compound_plan(n, m, k):
                     if level.gather is not None:
                         assert level.gather.weights.size <= _GATHER_ENTRIES
     # 13 x 15 at k = 2: level 2 has 2 * 78 * 105 = 16380 products, just
     # under the cap; the step holds its two gathers and nothing larger
-    (level,) = _compound_plan(13, 15, 2).levels
+    (level,) = _compound_plan(13, 15, 2)
     assert level.gather.weights.size == level.gather.below.size == 16380
     X = np.random.default_rng(15).standard_normal((13, 15))
     compound(X, 2)  # build the cached plan outside the measurement
@@ -226,8 +229,7 @@ def test_block_step_reads_its_face_index_in_place():
     # block step reading read-only face ranks, or a strided column of the
     # tuple array, would copy binom(m, s) indices each time; the shared face
     # ranks and tuple columns stay writeable and contiguous instead
-    plan = _plan_at(8, 16, 4, 1, gather_entries=0)
-    level = plan.levels[-1]
+    level = _levels(8, 16, 4, gather_entries=0)[-1]
     index = level.faces[1]
     assert level.faces.flags.writeable
     below = np.random.default_rng(17).standard_normal((1, math.comb(16, 3)))
@@ -243,7 +245,7 @@ def test_block_step_reads_its_face_index_in_place():
     column = level.cols[1]
     assert level.cols.shape == (4, math.comb(16, 4))
     assert column.flags.writeable and column.flags.c_contiguous
-    assert level.cols is _plan_at(8, 16, 4, 1, gather_entries=0).levels[-1].cols  # shared
+    assert level.cols is _levels(8, 16, 4, gather_entries=0)[-1].cols  # shared
     strided = np.array(list(combinations(range(16), 4)), dtype=np.intp)[:, 1]
     assert not strided.flags.c_contiguous and np.array_equal(strided, column)
     lead = np.random.default_rng(18).standard_normal((1, 16))
@@ -251,6 +253,16 @@ def test_block_step_reads_its_face_index_in_place():
     assert out.nbytes == column.nbytes
     assert peaks[0] < out.nbytes + column.nbytes // 2
     assert peaks[1] >= out.nbytes + column.nbytes  # the copy this avoids
+
+
+def test_lu_stack_does_not_warn_on_a_subnormal_pivot():
+    # the block on rows (0, 2, 3) is singular (a zero row), and its
+    # elimination meets the subnormal pivot 8e-224 * 4e-100, where
+    # np.linalg.det warns of a division by zero; tier-1 makes that an error
+    X = np.zeros((5, 3))
+    X[0, 0], X[0, 2], X[2, 2], X[3, 0] = 8.25653623e-224, 1.0, 4.09997950e-100, 1.0
+    assert _compound_plan(3, 5, 3) == ()  # the LU stack
+    assert_allclose(compound(X, 3), sliced_minors(X, 3), rtol=0, atol=minor_tolerance(X, 3))
 
 
 def test_compound_refuses_oversized_arrays_before_allocating():

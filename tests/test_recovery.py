@@ -111,6 +111,43 @@ def test_preprocess_gives_up_on_truly_degenerate_spectrum():
         preprocess_distinct(np.eye(6), 4, 2, policy)
 
 
+
+class _SingularFirstDraw:
+    """A generator whose first draw is the zero matrix and whose later draws are Gaussian."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._drawn = False
+
+    def standard_normal(self, shape):
+        if not self._drawn:
+            self._drawn = True
+            return np.zeros(shape)
+        return self._rng.standard_normal(shape)
+
+
+class _SingularFirstPolicy(TolerancePolicy):
+    def rng(self):
+        return _SingularFirstDraw(self.rng_seed)
+
+
+def test_resampling_skips_a_singular_draw(monkeypatch):
+    # M = I is the compound of every orthogonal A, so its spectrum needs a
+    # draw; the zero draw is skipped and the next one separates it.  Rung 1
+    # takes a single draw, so it hands over, and rung 2's second draw answers
+    policy = _SingularFirstPolicy()
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+            result = inverse_compound(np.eye(6), 4, 4, 2, policy)
+        report = result.report
+        assert isinstance(result.outcome, UniqueUpToSign)
+        assert report.route == "svd"
+        assert report.preprocessing_used and report.resample_count == 2
+        assert reconstruction_residual(result.outcome.A, np.eye(6), 2) <= 1e-8
+
+
 # --- wedge_decompose ---
 
 
@@ -335,6 +372,20 @@ def test_inverse_canonical_sign():
     assert sign_error(got, A) <= 1e-9
 
 
+
+def test_canonicalize_sign_flips_only_a_negative_first_entry():
+    # the first column-major entry, -1e-13, is below the cutoff
+    # rank_rtol * max|A|, so the sign follows the next one, -3
+    policy = TolerancePolicy()
+    A = np.array([[-1e-13, 2.0], [-3.0, 1.0]])
+    got = recovery._canonicalize_sign(A, policy)
+    assert np.array_equal(got, -A)
+    assert np.array_equal(recovery._canonicalize_sign(-A, policy), got)
+    flat = got.ravel(order="F")
+    assert flat[np.abs(flat) > policy.rank_rtol * np.abs(flat).max()][0] > 0
+    zero = np.zeros((2, 3))
+    assert np.array_equal(recovery._canonicalize_sign(zero, policy), zero)
+
 def test_inverse_determinism():
     A = random_rank_r(5, 5, 3, seed=11, spectrum=[3.0, 2.0, 2.0])
     M = compound(A, 2)
@@ -463,6 +514,16 @@ def test_zero_compound_family():
     assert_allclose(result.outcome.representative(), np.zeros((4, 4)))
     assert result.report.reconstruction_residual == 0.0
 
+
+
+@pytest.mark.parametrize("residual_rtol", [2.0, 1e-8])
+def test_nonzero_compound_never_gets_the_zero_family(residual_rtol):
+    # rank_rtol = 0.5 puts both singular values of this M below the rank
+    # cutoff, 0.5 * sigma_1 * 2; rank 0 is no binom(r, k) of a source, and a
+    # nonzero M has no zero-family answer, at any residual threshold
+    policy = TolerancePolicy(rank_rtol=0.5, residual_rtol=residual_rtol)
+    with pytest.raises(InvalidArgumentError):
+        inverse_compound([[1.0, 2.0], [3.0, 4.0]], 2, 2, 1, policy)
 
 def test_family_contains_shape_validation():
     fx = load_fixtures()["rank-one-3x3"]
