@@ -61,23 +61,25 @@ from .numerics import (
     subspace_intersection,
 )
 from .recovery import (
-    AlignedFactors,
     RankDeficientFamily,
     RankOneFamily,
     RecoveryOutcome,
     RecoveryReport,
     RecoveryResult,
     UniqueUpToSign,
-    align_and_sign_adjust,
     closed_form_inverse_nminus1,
     family_contains,
     infer_base_rank,
     inverse_compound,
-    order_compound_singular_values,
     preprocess_distinct,
     rank_one_inverse,
     reconstruction_residual,
     recover_singular_values,
+)
+from .reference import (
+    AlignedFactors,
+    align_and_sign_adjust,
+    order_compound_singular_values,
     wedge_decompose,
 )
 
@@ -134,22 +136,23 @@ __all__ = [
     "reduced_svd",
     "subspace_intersection",
     # recovery
-    "AlignedFactors",
     "RankDeficientFamily",
     "RankOneFamily",
     "RecoveryOutcome",
     "RecoveryReport",
     "RecoveryResult",
     "UniqueUpToSign",
-    "align_and_sign_adjust",
     "closed_form_inverse_nminus1",
     "family_contains",
     "infer_base_rank",
     "inverse_compound",
-    "order_compound_singular_values",
     "preprocess_distinct",
     "rank_one_inverse",
     "reconstruction_residual",
     "recover_singular_values",
+    # reference
+    "AlignedFactors",
+    "align_and_sign_adjust",
+    "order_compound_singular_values",
     "wedge_decompose",
 ]

@@ -33,8 +33,10 @@ both then run the same stages after the rank, verification included
    among them; its time is then reported as ``contraction_attempt``.  The
    ``svd`` stage takes the compact SVD ``M = L diag(s) R^T``; its rank
    binom(r, k) gives r, and M is divided by ``s_1``.  Rank one calls the
-   rank-one family again, which rung 1 has already refused, so this only
-   gives the refusal its tag.  Otherwise the left frame is contracted from
+   rank-one family again, with the contraction of the one left singular
+   vector as U: that answers an M whose second direction lies between the
+   SVD's rank cutoff and the contraction's, and otherwise only gives rung
+   1's refusal its tag.  Otherwise the left frame is contracted from
    the weighted factor ``L diag(sqrt(s))``, which separates ill-conditioned
    sources better, and a failed check is the refusal, under its own tag.
 
@@ -61,9 +63,9 @@ The stages after the rank, for r > k:
   family verifies its representative the same way.
 
 The paper's own route, which wedge-decomposes every column of the SVD
-factors (:func:`wedge_decompose`) and aligns the directions against them
-(:func:`align_and_sign_adjust`, :func:`order_compound_singular_values`), is
-kept as the reference the contraction route is tested against.
+factors and aligns the directions against them, lives in
+:mod:`compound_kit.reference` as the oracle the tests check this pipeline
+against; its public names are re-exported here.
 """
 
 from __future__ import annotations
@@ -79,29 +81,26 @@ import numpy as np
 
 from .combinat import binom, incidence_matrix
 from .errors import (
-    AlignmentFailedError,
     CompoundKitError,
     DecompositionFailedError,
     InconsistentCompoundValuesError,
     InvalidArgumentError,
     NotCompoundDecomposableError,
-    OrderingFailedError,
     PreprocessingFailedError,
     SignAdjustmentFailedError,
     SingularInputError,
     VerificationFailedError,
 )
-from .exterior import _contraction_table, _tuple_array, compound, wedge_matrix
+from .exterior import _contraction_table, compound
 from .numerics import (
-    DEFAULT_POLICY,
-    ReducedSvd,
-    TolerancePolicy,
-    _as_float_matrix,
-    gf2_solve,
-    gf2_solver,
-    kernel_basis,
-    reduced_svd,
-    subspace_intersection,
+    DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, gf2_solver, reduced_svd,
+)
+from .reference import (  # noqa: F401  (re-exported: the paper's reference route)
+    AlignedFactors,
+    _exhaustive_sign_vector,
+    align_and_sign_adjust,
+    order_compound_singular_values,
+    wedge_decompose,
 )
 
 __all__ = [
@@ -411,133 +410,6 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     return Wt.T, values
 
 
-def wedge_decompose(
-    Z, n: int, r: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """Factor wedge coordinates into their rank-one direction matrix.
-
-    Parameters
-    ----------
-    Z : array_like
-        Shape (binom(n, k), binom(r, k)); each column holds the coordinates
-        of a wedge of k vectors drawn from one unknown r-dimensional frame
-        u_1, ..., u_r in R^n, with every k-subset represented.
-    n, r, k : int
-        Ambient dimension, frame size, and wedge grade, with k < r <= n.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape (n, r); columns are unit vectors spanning the individual
-        directions span(u_i), in discovery order (no particular order or
-        sign is promised).
-
-    Notes
-    -----
-    Each column's wedge-matrix kernel recovers the k-dimensional span of its
-    factors.  When k is at most ceil(r/2), pairwise intersections of those
-    spans already isolate single directions.  Otherwise the spans are
-    repeatedly contracted: intersecting two s-dimensional spans drawn from an
-    r-frame yields spans of dimension 2s - r, and the contraction is iterated
-    until pairwise intersections can reach dimension one.  For k = 1 the
-    kernels are the directions themselves.
-    """
-    Z = _as_float_matrix(Z, "Z")
-    if not 1 <= k < r or r > n:
-        raise InvalidArgumentError(f"need 1 <= k < r <= n, got k={k}, r={r}, n={n}")
-    if Z.shape != (binom(n, k), binom(r, k)):
-        raise InvalidArgumentError(
-            f"Z has shape {Z.shape}, expected ({binom(n, k)}, {binom(r, k)})"
-        )
-
-    subspaces = []
-    for idx, col in enumerate(Z.T):
-        if not np.any(col):
-            raise DecompositionFailedError(f"column {idx} is exactly zero")
-        basis = kernel_basis(wedge_matrix(col, n, k).data, policy)
-        if basis.shape[1] != k:
-            raise DecompositionFailedError(
-                f"column {idx} has kernel dimension {basis.shape[1]}, expected {k}; "
-                "column is not a decomposable k-vector"
-            )
-        subspaces.append(basis)
-
-    if k == 1:
-        # kernels are already lines; intersecting distinct lines would give nothing
-        directions: list[np.ndarray] = []
-        for basis in subspaces:
-            _collect_direction(directions, basis[:, 0], policy)
-    else:
-        pool = subspaces
-        s = k
-        while s > math.ceil(r / 2):
-            target = 2 * s - r
-            contracted: list[np.ndarray] = []
-            for i in range(len(pool)):
-                for j in range(i + 1, len(pool)):
-                    meet = subspace_intersection(pool[i], pool[j], policy)
-                    if meet.shape[1] == target and not _span_seen(contracted, meet, policy):
-                        contracted.append(meet)
-            if not contracted:
-                raise DecompositionFailedError(
-                    f"no intersections of dimension {target} found while contracting"
-                )
-            pool = contracted
-            s = target
-        directions = []
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                meet = subspace_intersection(pool[i], pool[j], policy)
-                if meet.shape[1] == 1:
-                    _collect_direction(directions, meet[:, 0], policy)
-
-    if len(directions) != r:
-        raise DecompositionFailedError(
-            f"found {len(directions)} direction(s), expected {r}"
-        )
-    return np.column_stack(directions)
-
-
-def _collect_direction(directions: list[np.ndarray], u: np.ndarray, policy: TolerancePolicy) -> None:
-    for v in directions:
-        if min(np.linalg.norm(u - v), np.linalg.norm(u + v)) <= policy.sign_atol:
-            return
-    directions.append(u)
-
-
-def _span_seen(spans: list[np.ndarray], B: np.ndarray, policy: TolerancePolicy) -> bool:
-    for C in spans:
-        if np.linalg.norm(B - C @ (C.T @ B)) <= policy.sign_atol * math.sqrt(B.shape[1]):
-            return True
-    return False
-
-
-def order_compound_singular_values(
-    M, V_hat, k: int, policy: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray:
-    """Compound singular values of M in the column order of ``V_hat``.
-
-    For M with right singular vectors spanned by compound(V_hat, k), the
-    matrix ``(M M^T C)^T C`` with ``C = compound(V_hat, k)`` is diagonal with
-    the squared compound singular values on the diagonal, each attached to
-    the compound column it scales.  This pins which singular value goes with
-    which column, independent of magnitude order.
-    """
-    M = _as_float_matrix(M, "M")
-    V_hat = _as_float_matrix(V_hat, "V_hat")
-    C = compound(V_hat, k)
-    if C.shape[0] != M.shape[0]:
-        raise InvalidArgumentError(
-            f"M has {M.shape[0]} rows but compound(V_hat, k) has {C.shape[0]} rows"
-        )
-    squared = np.diag((M @ (M.T @ C)).T @ C).copy()
-    if np.any(squared <= 0):
-        raise OrderingFailedError(
-            f"squared compound singular values must be positive, got min {squared.min():.3e}"
-        )
-    return np.sqrt(squared)
-
-
 def recover_singular_values(
     d, r: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
@@ -608,141 +480,6 @@ def _incidence_solver(r: int, k: int) -> _IncidenceSolver:
     for array in solver:
         array.setflags(write=False)
     return solver
-
-
-class AlignedFactors(NamedTuple):
-    V_tilde: np.ndarray
-    W_tilde: np.ndarray
-
-
-def align_and_sign_adjust(
-    V_hat,
-    W_hat,
-    L,
-    R,
-    sigma_compound,
-    k: int,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-    *,
-    exhaustive_sign_search: bool = False,
-) -> AlignedFactors:
-    """Order the decomposed factors and fix column signs against the SVD of M.
-
-    Parameters
-    ----------
-    V_hat, W_hat : array_like
-        Direction matrices from :func:`wedge_decompose` for the row and
-        column side, shape (n, r) and (m, r), columns in arbitrary order and
-        sign.
-    L, R, sigma_compound : array_like
-        Compact SVD of the (preprocessed) compound, ``M = L diag(s) R^T``
-        with s decreasing.
-    k : int
-        Compound grade.
-    exhaustive_sign_search : bool, optional
-        Solve the final sign system by scanning all 2^r sign patterns
-        instead of GF(2) elimination.  Exponential; kept as a
-        cross-checking oracle, never used by default.
-
-    Returns
-    -------
-    AlignedFactors
-        ``V_tilde`` and ``W_tilde`` with columns ordered by decreasing
-        recovered singular value and signed so that
-        ``compound(V_tilde, k) == L`` columnwise and
-        ``V_tilde diag(sigma) W_tilde^T`` reproduces the compound's source
-        up to one global sign.
-
-    Notes
-    -----
-    Ordering: each side's singular values are recovered independently, the
-    columns are sorted by decreasing value, and the lex-ordered k-fold
-    products of the sorted values then match ``sigma_compound`` by sorted
-    position.  Signs: each column of L must equal a column of
-    compound(V_tilde, k) up to sign within ``sign_atol``; flipped columns of
-    R mark the k-subsets whose sign product must change on the W side, and a
-    parity system over GF(2) converts those subset constraints into
-    per-column flips of W.
-    """
-    V_hat = _as_float_matrix(V_hat, "V_hat")
-    W_hat = _as_float_matrix(W_hat, "W_hat")
-    L = _as_float_matrix(L, "L")
-    R = _as_float_matrix(R, "R")
-    s = np.asarray(sigma_compound, dtype=float).ravel()
-    r = V_hat.shape[1]
-    if W_hat.shape[1] != r:
-        raise InvalidArgumentError(
-            f"V_hat has {r} columns but W_hat has {W_hat.shape[1]}"
-        )
-    if not 1 <= k < r:
-        raise InvalidArgumentError(f"need 1 <= k < r, got k={k}, r={r}")
-    rho = binom(r, k)
-    if s.size != rho or L.shape[1] != rho or R.shape[1] != rho:
-        raise InvalidArgumentError(
-            f"expected binom({r}, {k}) = {rho} compound columns, got "
-            f"{s.size} values, L with {L.shape[1]}, R with {R.shape[1]}"
-        )
-
-    M_tilde = L @ (s[:, None] * R.T)
-    sig_left = recover_singular_values(
-        order_compound_singular_values(M_tilde, V_hat, k, policy), r, k, policy
-    )
-    sig_right = recover_singular_values(
-        order_compound_singular_values(M_tilde.T, W_hat, k, policy), r, k, policy
-    )
-    V_sorted = V_hat[:, np.argsort(-sig_left, kind="stable")]
-    W_sorted = W_hat[:, np.argsort(-sig_right, kind="stable")]
-    sig = np.sort(sig_left)[::-1]
-
-    # lex-position of each SVD column: products of sorted values, largest first
-    products = np.prod(sig[_tuple_array(r, k)], axis=1)
-    svd_to_lex = np.argsort(-products, kind="stable")
-    L_lex = np.empty_like(L)
-    R_lex = np.empty_like(R)
-    L_lex[:, svd_to_lex] = L
-    R_lex[:, svd_to_lex] = R
-
-    flips = _column_sign_matches(L_lex, compound(V_sorted, k), policy, side="left")
-    R_adj = R_lex.copy()
-    R_adj[:, flips] *= -1.0
-    parity = _column_sign_matches(R_adj, compound(W_sorted, k), policy, side="right")
-
-    b = parity.astype(np.uint8)
-    incidence = incidence_matrix(r, k).entries
-    if exhaustive_sign_search:
-        x = _exhaustive_sign_vector(incidence, b)
-    else:
-        x = gf2_solve(incidence, b)
-    if x is None:
-        raise SignAdjustmentFailedError("column sign parity system has no solution")
-    W_tilde = W_sorted * np.where(x.astype(bool), -1.0, 1.0)[None, :]
-    return AlignedFactors(V_tilde=V_sorted, W_tilde=W_tilde)
-
-
-def _column_sign_matches(
-    target: np.ndarray, candidate: np.ndarray, policy: TolerancePolicy, side: str
-) -> np.ndarray:
-    """Per-column flags: True where -candidate matches target, False where +candidate does."""
-    flips = np.zeros(target.shape[1], dtype=bool)
-    for j in range(target.shape[1]):
-        plus = np.linalg.norm(target[:, j] - candidate[:, j])
-        minus = np.linalg.norm(target[:, j] + candidate[:, j])
-        if min(plus, minus) > policy.sign_atol:
-            raise AlignmentFailedError(
-                f"{side} column {j} matches no sign of its compound column "
-                f"(distances {plus:.3e} / {minus:.3e} > {policy.sign_atol:.1e})"
-            )
-        flips[j] = minus < plus
-    return flips
-
-
-def _exhaustive_sign_vector(incidence: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    r = incidence.shape[1]
-    for bits in range(2**r):
-        x = np.fromiter(((bits >> i) & 1 for i in range(r)), dtype=np.uint8, count=r)
-        if np.array_equal((incidence @ x) % 2, b % 2):
-            return x
-    return None
 
 
 def inverse_compound(
@@ -891,7 +628,9 @@ def _svd_rung(
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     if svd.rank == 1:
-        return _rank_one_family(M, n, m, k, policy, report)
+        with _stage(report, "rank_one"):
+            U = _rank_k_frame(svd.left, n, k, policy, "left")
+        return _rank_one_family(M, n, m, k, policy, report, U)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
     scale = float(svd.sigma[0])
@@ -914,9 +653,12 @@ def _recover(
     values with up to ``draws`` draws.  The right frame V is the top r of
     the contraction of ``right``, or, when ``right`` is None (rung 1), of
     the narrow ``F = M_tilde^T compound(U, k) = compound(V Sigma, k)`` up
-    to column signs.  ``F^T compound(V, k)`` must be diagonal
-    (:func:`_diagonal`), :func:`_compose` gives A from it, and
-    :func:`_verify` checks A against M.
+    to column signs.  The core ``F^T compound(V, k) = compound(U, k)^T
+    M_tilde compound(V, k)`` must be diagonal to within ``residual_rtol *
+    |M_tilde|``, or :class:`DecompositionFailedError` is raised.  Its
+    diagonal d gives sigma and the column flips of V, A is composed from
+    them (undoing the draw Q and the scale), and :func:`_verify` checks A
+    against M.
     """
     with _stage(report, "preprocess"):
         Q, M_tilde, resamples, (U, _, right) = _resample(unit, first, n, k, policy, draw, draws)
@@ -926,54 +668,25 @@ def _recover(
     with _stage(report, "frames"):
         F = M_tilde.T @ compound(U, k)
         V = _contraction_frame(F if right is None else right, m, k)[0][:, :r]
-        d = _diagonal(F.T @ compound(V, k), M_tilde, policy)
-    A = _compose(U, V, d, Q if resamples else None, scale, r, k, policy, report)
-    _verify(A, M, k, policy, report)
-    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
-
-
-def _diagonal(core: np.ndarray, M_tilde: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
-    """The diagonal of ``core = compound(U, k)^T M_tilde compound(V, k)``.
-
-    Raises :class:`DecompositionFailedError` when the core is not diagonal
-    to within ``residual_rtol * |M_tilde|``.
-    """
-    d = np.diag(core).copy()
-    off_diagonal = float(np.linalg.norm(core - np.diag(d)))
-    limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
-    if not off_diagonal <= limit:
-        raise DecompositionFailedError(
-            f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
-            f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
-        )
-    return d
-
-
-def _compose(
-    U: np.ndarray,
-    V: np.ndarray,
-    d: np.ndarray,
-    Q: np.ndarray | None,
-    scale: float,
-    r: int,
-    k: int,
-    policy: TolerancePolicy,
-    report: RecoveryReport,
-) -> np.ndarray:
-    """The stages ``singular_values`` and ``compose``: A from both frames and the diagonal d.
-
-    Q is the draw to undo, or None, and ``scale`` the divisor of M.
-    """
+        core = F.T @ compound(V, k)
+        d = np.diag(core).copy()
+        off_diagonal = float(np.linalg.norm(core - np.diag(d)))
+        limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
+        if not off_diagonal <= limit:
+            raise DecompositionFailedError(
+                f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
+                f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
+            )
     with _stage(report, "singular_values"):
         sigma, report.singular_value_residual = _log_linear_solve(np.abs(d), r, k, policy)
         flips = _incidence_solver(r, k).parity_solution((d < 0).astype(np.uint8))
     with _stage(report, "compose"):
-        V = V * np.where(flips.astype(bool), -1.0, 1.0)
-        A = U @ (sigma[:, None] * V.T)
-        if Q is not None:
+        A = U @ (sigma[:, None] * np.where(flips.astype(bool), -V, V).T)
+        if resamples:
             A = np.linalg.solve(Q, A)
         A *= scale ** (1.0 / k)
-    return A
+    _verify(A, M, k, policy, report)
+    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 
 
 def _verify(
@@ -1035,35 +748,34 @@ def rank_one_inverse(
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
-    return _rank_one_family(M, n, m, k, policy, RecoveryReport())
+    U = _rank_k_frame(svd.left, n, k, policy, "left")
+    return _rank_one_family(M, n, m, k, policy, RecoveryReport(), U)
 
 
 def _rank_one_family(
     M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport,
-    U: np.ndarray | None = None,
+    U: np.ndarray,
 ) -> RankOneFamily:
     """The verified preimage family of a rank-one M, from one contraction of each side.
 
     A nonzero k-vector is decomposable exactly when its signed
     (k-1)-contraction has rank k, and the range is then its factor span
     (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for
-    ``M = s u v^T`` the top k frame U of the contraction of ``M / max|M|``
-    spans u's factors, and V comes from the contraction of the narrow
+    ``M = s u v^T`` the caller's U, the top k frame of the contraction of
+    ``M / max|M|`` (rung 1) or of u itself (:func:`_rank_k_frame`), spans
+    u's factors, and V comes from the contraction of the narrow
     ``F = M^T compound(U, k)``, a multiple of v.  The 1 x 1 core
     ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` is then
     ``+-s``: its sign goes into V's first column and ``Sigma`` is
-    ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  U is that left frame
-    when the caller already has it.  Raises NotCompoundDecomposableError
-    when a side's contraction rank is not k or the representative does not
-    reproduce M.
+    ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  Raises
+    NotCompoundDecomposableError when the right contraction rank is not k
+    or the representative does not reproduce M.
     """
     report.route = "rank-one"
     report.inferred_r = k
     with _stage(report, "rank_one"):
         scale = max(float(M.max()), -float(M.min()))
         unit = M / scale
-        if U is None:
-            U = _rank_k_frame(unit, n, k, policy, "left")
         F = unit.T @ compound(U, k)
         V = _rank_k_frame(F, m, k, policy, "right")
         core = float(F[:, 0] @ compound(V, k)[:, 0])

@@ -18,6 +18,7 @@ import numpy as np
 from .combinat import IndexTuple, lex_tuples
 from .errors import InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .reference import align_and_sign_adjust, wedge_decompose
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -240,14 +241,14 @@ def fixture_checks(policy: TolerancePolicy = DEFAULT_POLICY) -> list[FixtureChec
         "wedge-factors",
         "aligned left factor matches the printed one, column signs free",
         lambda: _columns_match_up_to_sign(
-            _run_aligned(recovery, M)[0], rec.expected["V_hat"], 5e-3
+            _run_aligned(M)[0], rec.expected["V_hat"], 5e-3
         ),
     )
     add(
         "sign-adjustment",
         "sign pass from the printed rounded factors reproduces the printed W_tilde",
         lambda: _matches_up_to_sign(
-            _aligned_from_printed(recovery, rec), rec.expected["W_tilde"], 5e-3
+            _aligned_from_printed(rec), rec.expected["W_tilde"], 5e-3
         ),
     )
     add(
@@ -332,22 +333,22 @@ def _rank3_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :3], s[:3], Vt[:3].T
 
 
-def _run_aligned(recovery_mod, M: np.ndarray):
-    """Aligned (V_tilde, W_tilde) computed by the pipeline from scratch on M."""
+def _run_aligned(M: np.ndarray):
+    """Aligned (V_tilde, W_tilde) computed by the reference route from scratch on M."""
     L, s, R = _rank3_svd(M)
-    V_hat = recovery_mod.wedge_decompose(L, 4, 3, 2)
-    W_hat = recovery_mod.wedge_decompose(R, 4, 3, 2)
-    aligned = recovery_mod.align_and_sign_adjust(V_hat, W_hat, L, R, s, 2)
+    V_hat = wedge_decompose(L, 4, 3, 2)
+    W_hat = wedge_decompose(R, 4, 3, 2)
+    aligned = align_and_sign_adjust(V_hat, W_hat, L, R, s, 2)
     return aligned.V_tilde, aligned.W_tilde
 
 
-def _aligned_from_printed(recovery_mod, rec: Fixture) -> np.ndarray:
+def _aligned_from_printed(rec: Fixture) -> np.ndarray:
     """W_tilde from the printed rounded V_hat/W_hat against the exact SVD of M."""
     L, s, R = _rank3_svd(rec.inputs["M"])
     # printed factors carry 2-decimal rounding, so sign matching cannot hold
     # at the production tolerance; the policy knobs are the sanctioned loosening
     loose = TolerancePolicy(sign_atol=0.1, residual_rtol=1e-2)
-    aligned = recovery_mod.align_and_sign_adjust(
+    aligned = align_and_sign_adjust(
         rec.expected["V_hat"], rec.expected["W_hat"], L, R, s, 2, loose
     )
     return aligned.W_tilde

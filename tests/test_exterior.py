@@ -101,7 +101,7 @@ def matrix_and_grade(draw, max_side=7):
     return X, k
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrix_and_grade())
 def test_compound_matches_sliced_determinants(case):
     # both orientations (n < m and n > m) and every k from 1 to min(n, m)
@@ -109,7 +109,7 @@ def test_compound_matches_sliced_determinants(case):
     assert_allclose(compound(X, k), sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrix_and_grade(), st.data())
 def test_every_seed_level_matches_sliced_determinants(case, data):
     # both kernels, whichever the cost model picks: seed 1 is the Laplace
@@ -124,7 +124,7 @@ def test_every_seed_level_matches_sliced_determinants(case, data):
     assert_allclose(got, sliced_minors(X, k), rtol=0, atol=minor_tolerance(X, k))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrix_and_grade(), st.data())
 def test_gathered_and_block_steps_agree_at_every_seed(case, data):
     # every level forced to one step kind: both match the sliced

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -1075,6 +1077,70 @@ def test_ill_conditioned_sources_take_the_svd_rung(cond, n, m, r, monkeypatch):
     assert np.array_equal(first.outcome.A, second.outcome.A)
 
 
+def _pipeline_batch():
+    """(M, n, m, k) for every route of inverse_compound and for its refusals."""
+    rng = np.random.default_rng(109)
+    wedge = compound(rng.standard_normal((5, 2)), 2)
+    return [
+        (compound(random_rank_r(5, 5, 4, seed=110), 2), 5, 5, 2),  # generic
+        (np.eye(6), 4, 4, 2),  # M = I, resampled
+        (compound(random_rank_r(6, 4, 4, seed=111), 3), 6, 4, 3),  # rectangular
+        (np.outer(wedge, compound(rng.standard_normal((5, 2)), 2)), 5, 5, 2),  # rank one
+        (np.zeros((10, 10)), 5, 5, 2),
+        (rng.standard_normal((10, 10)), 5, 5, 2),  # Gaussian M
+        (random_rank_r(10, 10, 2, seed=112), 5, 5, 2),  # rank 2 is no binom(r, 2)
+        (np.outer(rng.standard_normal(10), rng.standard_normal(10)), 5, 5, 2),
+    ]
+
+
+def _route_or_tag(M, n, m, k):
+    try:
+        result = inverse_compound(M, n, m, k)
+    except CompoundKitError as err:
+        return err.tag
+    outcome = result.outcome
+    answer = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
+    return type(outcome).__name__, result.report.route, answer.tobytes()
+
+
+def _forbid_reference_route(patch):
+    """Rebind the reference route and its kernels to raisers in every compound_kit module."""
+    from compound_kit import exterior, numerics, reference
+
+    banned = {obj for obj in vars(reference).values()
+              if inspect.isfunction(obj) and obj.__module__ == reference.__name__}
+    banned |= {numerics.kernel_basis, numerics.subspace_intersection, numerics.gf2_solve,
+               exterior.wedge_matrix}
+
+    def raiser(name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"the pipeline called {name}")
+        return forbidden
+
+    for name, module in list(sys.modules.items()):
+        if name == "compound_kit" or name.startswith("compound_kit."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in banned:
+                    patch.setattr(module, attr, raiser(f"{name}.{attr}"))
+
+
+def test_the_pipeline_never_reaches_the_reference_route(monkeypatch):
+    batch = _pipeline_batch()
+    as_is = [_route_or_tag(*case) for case in batch]
+    with monkeypatch.context() as patch:
+        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        handed_over = [_route_or_tag(*case) for case in batch]
+    # the batch reaches every route of both rungs and refuses too
+    assert {got[1] for got in as_is if isinstance(got, tuple)} == {"contraction", "rank-one", "zero"}
+    assert {got[1] for got in handed_over if isinstance(got, tuple)} == {"svd", "rank-one", "zero"}
+    assert any(isinstance(got, str) for got in as_is)
+
+    _forbid_reference_route(monkeypatch)
+    assert [_route_or_tag(*case) for case in batch] == as_is
+    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    assert [_route_or_tag(*case) for case in batch] == handed_over
+
+
 def _whole_unfolding(F, n, k):
     """E[a, (S, p)] = eps(a, S) F[S + {a}, p], gathered whole and signed in a second pass."""
     from compound_kit.exterior import _contraction_table
@@ -1125,7 +1191,7 @@ def test_recovery_peak_memory_stays_within_four_copies_of_M():
     assert peak <= 4 * M.nbytes
 
 
-def test_k1_source_near_the_rank_cutoff_is_its_own_compound():
+def test_k1_source_near_the_rank_cutoff_is_its_own_compound(monkeypatch):
     # every matrix is its own 1-compound.  sigma_2 / sigma_1 = 5e-10 lies
     # between the rank cutoffs of the 2-row contraction (2e-10) and of the
     # 8-row SVD (8e-10), so the contraction sees rank 2 and the SVD rank one
@@ -1137,6 +1203,38 @@ def test_k1_source_near_the_rank_cutoff_is_its_own_compound():
     assert result.report.route == "contraction"
     assert result.report.inferred_r == 2
     assert reconstruction_residual(result.outcome.A, M, 1) <= 1e-12
+    # where the SVD calls M rank one, the family contracts its one left
+    # singular vector, not all of M, whose contraction still has rank 2
+    policy = TolerancePolicy()
+    family = rank_one_inverse(M, 2, 8, 1, policy)
+    assert reconstruction_residual(family.representative(), M, 1) <= policy.residual_rtol
+    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    handed_over = inverse_compound(M, 2, 8, 1, policy)
+    assert isinstance(handed_over.outcome, RankOneFamily)
+    assert handed_over.report.route == "rank-one"
+
+
+def test_rank_one_with_a_second_direction_between_the_rank_cutoffs():
+    # a wedge outer product plus a second direction at 8e-10 of its size:
+    # the SVD of the 10 x 10 M counts values above 1e-9 * s_1 and sees rank
+    # one, while the 5-row contraction of all of M counts values above
+    # 5e-10 of its largest and sees the second direction
+    rng = np.random.default_rng(113)
+    u = compound(rng.standard_normal((5, 2)), 2)[:, 0]
+    v = compound(rng.standard_normal((5, 2)), 2)[:, 0]
+    g, h = rng.standard_normal(10), rng.standard_normal(10)
+    M = np.outer(u, v) + 8e-10 * np.linalg.norm(u) * np.linalg.norm(v) * np.outer(
+        g / np.linalg.norm(g), h / np.linalg.norm(h)
+    )
+    policy = TolerancePolicy()
+    assert reduced_svd(M, policy).rank == 1
+    result = inverse_compound(M, 5, 5, 2, policy)
+    assert isinstance(result.outcome, RankOneFamily)
+    assert result.report.route == "rank-one"
+    assert "svd" in result.report.stage_timings  # rung 1 handed over
+    family = rank_one_inverse(M, 5, 5, 2, policy)
+    for got in (result.outcome, family):
+        assert reconstruction_residual(got.representative(), M, 2) <= policy.residual_rtol
 
 
 # --- the tag contract ---

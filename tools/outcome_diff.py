@@ -1,0 +1,196 @@
+"""Run one seeded corpus through ``inverse_compound`` from two source trees and diff the outcomes.
+
+Usage::
+
+    python tools/outcome_diff.py OLD_TREE NEW_TREE [--seeds 1 2 3 4] [--cases 5000]
+
+Each tree is a checkout holding ``src/compound_kit``.  The corpus is built
+from the seeds alone, with the benchmark's own determinants
+(``perfbench/cases.py``) and without either tree's code: exact compounds,
+graded spectra (condition 1e2 to 1e10, half of them under
+``rank_rtol=1e-12``), repeated and orthogonal spectra, rank-deficient
+sources, scales 1e+-50 to 1e+-200, perturbations 1e-12 to 1e-4 of max|M|,
+Gaussian M, rank-2 M, outer products and noise-level M (the rounding noise
+of a rank k-1 source's compound), all with 2 <= n, m <= 7 and every k.  Each tree
+runs the whole corpus in its own subprocess, with BLAS pinned to one thread
+and every warning turned into an error; an exception without a tag, a
+warning among them, is recorded as ``untagged:<type>``.
+
+For every input the outcome type, the refusal tag, the route, ``inferred_r``,
+``resample_count``, the stage names and the bytes of the answer are
+compared, and the count of differing inputs is printed per field, with the
+first few differing inputs.  The exit status is 1 when any field differs.
+Standard library and NumPy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from cases import minors  # noqa: E402  (the benchmark's independent compound)
+
+KINDS = (
+    "exact", "graded", "repeated", "orthogonal", "rank-deficient", "scaled", "perturbed",
+    "gaussian", "rank-2", "outer", "noise",
+)
+FIELDS = ("outcome", "tag", "route", "inferred_r", "resample_count", "stages", "answer")
+SHOW = 5  # differing inputs printed
+
+
+def source(rng: np.random.Generator, n: int, m: int, spectrum: np.ndarray) -> np.ndarray:
+    """U diag(spectrum) V^T with random orthonormal U (n x r) and V (m x r)."""
+    r = spectrum.size
+    U = np.linalg.qr(rng.standard_normal((n, max(r, 1))))[0][:, :r]
+    V = np.linalg.qr(rng.standard_normal((m, max(r, 1))))[0][:, :r]
+    return U @ (spectrum[:, None] * V.T)
+
+
+def make_case(rng: np.random.Generator, kind: str):
+    """One corpus input: (kind, M, n, m, k, rank_rtol or None)."""
+    n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+    k = int(rng.integers(1, min(n, m) + 1))
+    shape = (math.comb(n, k), math.comb(m, k))
+    r = min(n, m)
+    rank_rtol = None
+    if kind == "gaussian":
+        return kind, rng.standard_normal(shape), n, m, k, None
+    if kind == "rank-2":
+        M = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        return kind, M, n, m, k, None
+    if kind == "outer":
+        return kind, np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])), n, m, k, None
+    spectrum = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
+    if kind == "graded":
+        spectrum = float(10.0 ** rng.uniform(2, 10)) ** (-np.arange(r) / max(r - 1, 1))
+        rank_rtol = 1e-12 if rng.random() < 0.5 else None
+    elif kind == "repeated" and r > 1:
+        i = int(rng.integers(0, r - 1))
+        spectrum[i + 1 : i + 2 + int(rng.integers(0, r - 1 - i))] = spectrum[i]
+    elif kind == "orthogonal":
+        spectrum = np.ones(r)
+    elif kind == "rank-deficient":
+        spectrum = spectrum[: int(rng.integers(k, max(k, r - 1) + 1))]
+    elif kind == "noise":
+        spectrum = spectrum[: k - 1]
+    with np.errstate(all="ignore"):  # a singular block may meet a subnormal pivot
+        M = minors(source(rng, n, m, spectrum), k)
+    if kind == "scaled":
+        M = M * 10.0 ** float(rng.choice([-1, 1]) * rng.uniform(50, 200))
+    elif kind == "perturbed":
+        M = M + 10.0 ** rng.uniform(-12, -4) * np.abs(M).max() * rng.standard_normal(shape)
+    return kind, M, n, m, k, rank_rtol
+
+
+def corpus(seeds: list[int], cases: int) -> list[tuple]:
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for index in range(cases):
+            out.append(make_case(rng, KINDS[index % len(KINDS)]))
+    return out
+
+
+def run_tree(src: Path, corpus_path: Path, out_path: Path) -> None:
+    """The worker: every corpus input through the tree's ``inverse_compound``, as JSON records."""
+    sys.path.insert(0, str(src))
+    import compound_kit as ck
+
+    if src.resolve() not in Path(ck.__file__).resolve().parents:
+        raise SystemExit(f"imported {ck.__file__}, not the tree under {src}")
+    records = []
+    for kind, M, n, m, k, rank_rtol in pickle.loads(corpus_path.read_bytes()):
+        policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
+        record = dict.fromkeys(FIELDS)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = ck.inverse_compound(M, n, m, k, policy)
+        except ck.CompoundKitError as err:
+            record.update(outcome="refused", tag=err.tag)
+        except Exception as err:  # a warning turned error, or an untagged failure
+            record.update(outcome="refused", tag=f"untagged:{type(err).__name__}")
+        else:
+            outcome, report = result.outcome, result.report
+            if isinstance(outcome, ck.UniqueUpToSign):
+                arrays = (outcome.A,)
+            elif isinstance(outcome, ck.RankOneFamily):
+                arrays = (outcome.U, outcome.Sigma, outcome.V)
+            else:
+                arrays = (np.array([outcome.n, outcome.m, outcome.k]),)
+            record.update(
+                outcome=type(outcome).__name__,
+                route=report.route,
+                inferred_r=report.inferred_r,
+                resample_count=report.resample_count,
+                stages=sorted(report.stage_timings),
+                answer=hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16],
+            )
+        records.append(record)
+    out_path.write_text(json.dumps(records))
+
+
+def tally(records: list[dict]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for record in records:
+        key = record["tag"] if record["outcome"] == "refused" else record["outcome"]
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--worker"]:
+        run_tree(*map(Path, sys.argv[2:5]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="checkout holding src/compound_kit")
+    parser.add_argument("new", type=Path, help="checkout holding src/compound_kit")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
+    parser.add_argument("--cases", type=int, default=5000, help="inputs per seed")
+    args = parser.parse_args()
+
+    inputs = corpus(args.seeds, args.cases)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path = Path(tmp) / "corpus.pkl"
+        corpus_path.write_bytes(pickle.dumps(inputs))
+        runs = []
+        for label, tree in (("old", args.old), ("new", args.new)):
+            out_path = Path(tmp) / f"{label}.json"
+            command = [sys.executable, __file__, "--worker", str(tree / "src"), str(corpus_path),
+                       str(out_path)]
+            subprocess.run(command, check=True, env=env)
+            runs.append(json.loads(out_path.read_text()))
+    old, new = runs
+
+    print(f"{len(inputs)} inputs, seeds {' '.join(map(str, args.seeds))}, {args.cases} per seed")
+    old_tally, new_tally = tally(old), tally(new)
+    for key in sorted(set(old_tally) | set(new_tally)):
+        print(f"  {key:28s} old {old_tally.get(key, 0):6d}  new {new_tally.get(key, 0):6d}")
+    differing = [i for i in range(len(inputs)) if old[i] != new[i]]
+    print(f"differences ({len(differing)} inputs differ in at least one field):")
+    for name in FIELDS:
+        count = sum(old[i][name] != new[i][name] for i in differing)
+        print(f"  {name:16s} {count}")
+    for i in differing[:SHOW]:
+        kind, _, n, m, k, rank_rtol = inputs[i]
+        fields = {name: (old[i][name], new[i][name]) for name in FIELDS if old[i][name] != new[i][name]}
+        print(f"  input {i}: {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: {fields}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
