@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgumentError,
     MatrixIOError,
     NotCompoundDecomposableError,
-    NumericalFailureError,
 )
 from .exterior import adjugate, adjugate_via_compound, compound
 from .matio import parse_matrix, render_matrix, write_matrix
@@ -51,22 +50,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     try:
         return _dispatch(argv if argv is not None else sys.argv[1:])
-    except (InvalidArgumentError, MatrixIOError) as exc:
-        _print_error(exc)
-        return 3
-    except NotCompoundDecomposableError as exc:
-        _print_error(exc)
-        return 1
-    except NumericalFailureError as exc:
-        _print_error(exc)
-        return 2
-    except CompoundKitError as exc:  # anything uncategorized counts as numerical
-        _print_error(exc)
-        return 2
-
-
-def _print_error(exc: CompoundKitError) -> None:
-    print(f"error: {exc.tag}: {exc}", file=sys.stderr)
+    except CompoundKitError as exc:
+        print(f"error: {exc.tag}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def _dispatch(argv) -> int:

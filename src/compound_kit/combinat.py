@@ -2,16 +2,23 @@
 
 Rows and columns of a k-th compound matrix are indexed by the strictly
 increasing k-tuples over ``1..n`` in lexicographic order.  This module owns
-that indexing: enumeration, closed-form rank/unrank, and the 0/1 incidence
-matrix between k-subsets and singletons used by the singular-value solver.
-Tuples are 1-based throughout.
+that indexing: enumeration, closed-form rank/unrank, the 0/1 incidence
+matrix between k-subsets and singletons used by the singular-value solver,
+and the cached index tables that the compound kernel, the wedge matrices
+and the signed contraction read.  The public tuples are 1-based; the cached
+tables are 0-based, over ``range(n)``.
+
+The cached tables are shared by every caller but stay writeable, because
+``np.take`` copies a read-only (or strided) index array on every call.
+Callers must not modify them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -76,13 +83,10 @@ def indexof_tuple(t: IndexTuple) -> int:
     """1-based lexicographic rank of ``t`` among the k-tuples over its ambient range.
 
     Closed form: rank = binom(n, k) - sum_i binom(n - t_i, k - i + 1), no
-    enumeration.  Inverse of :func:`unrank_tuple`.
+    enumeration; it is :func:`_lex_rank` of the 0-based tuple, plus one.
+    Inverse of :func:`unrank_tuple`.
     """
-    n, k = t.ambient, t.grade
-    rank = binom(n, k)
-    for i, v in enumerate(t.entries):
-        rank -= math.comb(n - v, k - i)
-    return rank
+    return int(_lex_rank(np.array([t.entries]) - 1, t.ambient)[0]) + 1
 
 
 def unrank_tuple(i: int, n: int, k: int) -> IndexTuple:
@@ -134,8 +138,75 @@ def incidence_matrix(r: int, k: int) -> SubsetIncidence:
     """
     if not 1 <= k < r:
         raise InvalidArgumentError(f"need 1 <= k < r, got k={k}, r={r}")
-    rows = binom(r, k)
-    entries = np.zeros((rows, r), dtype=np.uint8)
-    for row, subset in enumerate(combinations(range(r), k)):
-        entries[row, list(subset)] = 1
+    entries = np.zeros((binom(r, k), r), dtype=np.uint8)
+    np.put_along_axis(entries, _tuple_array(r, k), 1, axis=1)
     return SubsetIncidence(entries=entries, subset_size=k)
+
+
+@lru_cache(maxsize=None)
+def _tuple_columns(n: int, k: int) -> np.ndarray:
+    """The entries of the k-tuples over range(n) by position, shape (k, binom(n, k)).
+
+    One contiguous array, so that each row is an index ``np.take`` reads in
+    place.
+    """
+    total = binom(n, k)
+    entries = chain.from_iterable(combinations(range(n), k))
+    return np.fromiter(entries, dtype=np.intp, count=total * k).reshape(total, k).T.copy()
+
+
+def _tuple_array(n: int, k: int) -> np.ndarray:
+    """The k-tuples over range(n) as a (binom(n, k), k) array, lex order.
+
+    The transposed view of :func:`_tuple_columns`, so both share one buffer.
+    """
+    return _tuple_columns(n, k).T
+
+
+def _lex_rank(tuples: np.ndarray, n: int) -> np.ndarray:
+    """Lex rank of each row of ``tuples``, an ascending 0-based k-tuple over range(n).
+
+    ``binom(n, k) - 1`` minus the number of tuples that come after, which is
+    ``sum_i binom(n-1-t_i, k-i)``.  Every term of that sum is below
+    ``binom(n, k)``, so the table below is clipped there: the clip never
+    touches a term in use and keeps the unused entries inside int64.
+    """
+    k = tuples.shape[1]
+    total = binom(n, k)
+    table = np.array(
+        [[min(math.comb(a, b), total) for b in range(k + 1)] for a in range(n)],
+        dtype=np.int64,
+    )
+    after = table[n - 1 - tuples, np.arange(k, 0, -1)].sum(axis=1)
+    return total - 1 - after
+
+
+@lru_cache(maxsize=None)
+def _face_ranks(n: int, k: int) -> np.ndarray:
+    """Lex ranks of the faces of every k-tuple over range(n), shape (k, binom(n, k)).
+
+    ``faces[p, i]`` is the rank, among the (k-1)-tuples over range(n), of the
+    i-th k-tuple with its entry at position p removed.
+    """
+    tuples = _tuple_array(n, k)
+    return np.stack([_lex_rank(np.delete(tuples, p, axis=1), n) for p in range(k)])
+
+
+@lru_cache(maxsize=None)
+def _signed_unfolding_index(n: int, k: int) -> np.ndarray:
+    """The signed map (a, S) -> S + {a}, as a gather index into ``[F; -F; 0]``.
+
+    Shape (n, binom(n, k-1)), indexed by an element ``a`` of range(n) and the
+    lex rank of a (k-1)-tuple ``S``.  For F with ``total = binom(n, k)``
+    rows, ``concatenate((F, -F, zeros))`` taken at ``index[a, S]`` is the row
+    ``(-1)^#{x in S : x < a} F[S + {a}]``, the sign of moving ``a`` to the
+    front of that tuple, and 0 where ``a`` is in S.  So the entry is the
+    rank of ``S + {a}``, plus ``total`` when ``a`` sits at an odd position of
+    it, and ``2 * total`` where ``a`` is in S.
+    """
+    tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
+    total = tuples.shape[0]
+    index = np.full((n, binom(n, k - 1)), 2 * total, dtype=np.intp)
+    for p in range(k):
+        index[tuples[:, p], faces[p]] = np.arange(total) + total * (p % 2)
+    return index

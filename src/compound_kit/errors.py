@@ -1,27 +1,30 @@
 """Exception hierarchy with stable machine-readable tags.
 
-Every error carries a ``tag`` class attribute.  The command line prints the
-tag on stderr so scripts can branch on it without parsing prose, and maps the
-hierarchy onto exit codes: usage and I/O problems exit 3, inputs that are not
-a compound of the requested shape exit 1, and numerical failures inside the
-recovery pipeline exit 2.
+Every error carries a ``tag`` and an ``exit_code`` class attribute.  The
+command line prints the tag on stderr so scripts can branch on it without
+parsing prose, and exits with the code: usage and I/O problems exit 3, inputs
+that are not a compound of the requested shape exit 1, and numerical failures
+inside the recovery pipeline, like any other error, exit 2.
 """
 
 
 class CompoundKitError(Exception):
     tag = "error"
+    exit_code = 2
 
 
 class InvalidArgumentError(CompoundKitError, ValueError):
     """Caller passed an argument outside a function's contract."""
 
     tag = "invalid-argument"
+    exit_code = 3
 
 
 class MatrixIOError(CompoundKitError):
     """A matrix file could not be read or written."""
 
     tag = "io-error"
+    exit_code = 3
 
 
 class DegenerateInputError(InvalidArgumentError):
@@ -34,6 +37,7 @@ class NotCompoundDecomposableError(CompoundKitError):
     """No matrix of the requested shape has the given compound."""
 
     tag = "not-compound-decomposable"
+    exit_code = 1
 
 
 class VerificationFailedError(NotCompoundDecomposableError):

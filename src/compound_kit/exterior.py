@@ -2,9 +2,12 @@
 
 The k-th multiplicative compound of an n x m matrix collects all k x k
 minors, with rows and columns ordered by the lexicographic k-tuples from
-:mod:`compound_kit.combinat`.  Wedge products and wedge matrices express the
-same minors vector-by-vector and provide the decomposability test used by
-the inverse pipeline.
+:mod:`compound_kit.combinat`, whose cached tables every kernel here reads.
+Wedge products and wedge matrices express the same minors vector-by-vector.
+The wedge-matrix kernel is the paper's decomposability test
+(:func:`is_decomposable`), and the paper's reference route
+(:mod:`compound_kit.reference`) takes the factors of every SVD column from
+it; the inverse pipeline does not use it.
 """
 
 from __future__ import annotations
@@ -12,91 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, binom
+from .combinat import (
+    MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, _face_ranks, _lex_rank, _tuple_array, _tuple_columns, binom,
+)
 from .errors import DegenerateInputError, InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _as_float_matrix, kernel_basis
-
-
-@lru_cache(maxsize=None)
-def _tuple_columns(n: int, k: int) -> np.ndarray:
-    """The entries of the k-tuples over range(n) by position, shape (k, binom(n, k)).
-
-    One contiguous array, so that each row is an index the block step of
-    :func:`_minors` reads in place: ``np.take`` copies a strided or
-    read-only index array on every call.  Shared by every caller, but
-    writeable for the same reason; callers must not modify it.
-    """
-    total = binom(n, k)
-    entries = chain.from_iterable(combinations(range(n), k))
-    return np.fromiter(entries, dtype=np.intp, count=total * k).reshape(total, k).T.copy()
-
-
-def _tuple_array(n: int, k: int) -> np.ndarray:
-    """0-based index tuples as a (binom(n,k), k) array, lex order.
-
-    The transposed view of :func:`_tuple_columns`, so both share one buffer.
-    """
-    return _tuple_columns(n, k).T
-
-
-def _lex_rank(tuples: np.ndarray, n: int) -> np.ndarray:
-    """Lex rank of each row of ``tuples``, an ascending 0-based k-tuple over range(n).
-
-    ``binom(n, k) - 1`` minus the number of tuples that come after, which is
-    ``sum_i binom(n-1-t_i, k-i)``.  Every term of that sum is below
-    ``binom(n, k)``, so the table below is clipped there: the clip never
-    touches a term in use and keeps the unused entries inside int64.
-    """
-    k = tuples.shape[1]
-    total = binom(n, k)
-    table = np.array(
-        [[min(math.comb(a, b), total) for b in range(k + 1)] for a in range(n)],
-        dtype=np.int64,
-    )
-    after = table[n - 1 - tuples, np.arange(k, 0, -1)].sum(axis=1)
-    return total - 1 - after
-
-
-@lru_cache(maxsize=None)
-def _face_ranks(n: int, k: int) -> np.ndarray:
-    """Lex ranks of the faces of every k-tuple over range(n), shape (k, binom(n, k)).
-
-    ``faces[p, i]`` is the rank, among the (k-1)-tuples over range(n), of the
-    i-th k-tuple with its entry at position p removed.  Shared by every
-    caller, but writeable: the block step of :func:`_minors` takes its rows
-    as indices, and ``np.take`` copies a read-only index array on every
-    call.  Callers must not modify it.
-    """
-    tuples = _tuple_array(n, k)
-    return np.stack([_lex_rank(np.delete(tuples, p, axis=1), n) for p in range(k)])
-
-
-@lru_cache(maxsize=None)
-def _contraction_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed map (a, S) -> S + {a} from (k-1)-tuples to k-tuples over range(n).
-
-    Returns ``(rows, signs)``, both of shape (n, binom(n, k-1)) and indexed by
-    an element ``a`` and the lex rank of a (k-1)-tuple ``S``.  ``rows[a, S]``
-    is the lex rank of the k-tuple ``S + {a}`` and ``signs[a, S]`` is
-    ``(-1)^#{x in S : x < a}``, the sign of moving ``a`` to the front of that
-    tuple.  Both are 0 where ``a`` is in ``S``.  The arrays are shared by
-    every caller and therefore read-only.
-    """
-    tuples = _tuple_array(n, k)
-    faces = _face_ranks(n, k)
-    rows = np.zeros((n, binom(n, k - 1)), dtype=np.intp)
-    signs = np.zeros(rows.shape)
-    for pos in range(k):
-        rows[tuples[:, pos], faces[pos]] = np.arange(tuples.shape[0])
-        signs[tuples[:, pos], faces[pos]] = -1.0 if pos % 2 else 1.0
-    rows.flags.writeable = False
-    signs.flags.writeable = False
-    return rows, signs
 
 
 # Cost model of compound(), in nanoseconds on one core.  The batched LU
@@ -170,8 +98,8 @@ class _Gather(NamedTuple):
     leading index and the column its p-th column index, read from the
     negated half at odd p.  ``below`` indexes the level below: the row is
     the lex rank of the output row's tail and the column the p-th face of
-    its column tuple.  Both stay writeable although the plan is shared:
-    ``np.take`` copies a read-only index array on every call.
+    its column tuple.  Both stay writeable although the plan is shared, for
+    the reason :mod:`compound_kit.combinat` gives for its tables.
     """
 
     weights: np.ndarray
@@ -403,10 +331,11 @@ def wedge_matrix(z, n: int, k: int) -> WedgeMatrix:
         raise InvalidArgumentError("coordinate vector contains non-finite entries")
     if not np.any(z):
         raise DegenerateInputError("coordinate vector is exactly zero")
-    rows, signs = _contraction_table(n, k + 1)
-    j, rest = np.nonzero(signs)
-    data = np.zeros((binom(n, k + 1), n))
-    data[rows[j, rest], j] = signs[j, rest] * z[rest]
+    tuples, faces = _tuple_array(n, k + 1), _face_ranks(n, k + 1)
+    rows = np.arange(tuples.shape[0])
+    data = np.zeros((rows.size, n))
+    for p in range(k + 1):
+        data[rows, tuples[:, p]] = -z[faces[p]] if p % 2 else z[faces[p]]
     return WedgeMatrix(data=data, ambient=n, grade=k)
 
 
@@ -447,7 +376,7 @@ def adjugate(A) -> np.ndarray:
         raise InvalidArgumentError(f"matrix must be square, got shape {A.shape}")
     if n == 1:
         return np.ones((1, 1))
-    keep = np.array([[r for r in range(n) if r != i] for i in range(n)], dtype=np.intp)
+    keep = _tuple_array(n, n - 1)[::-1]  # row i omits index i
     minors = np.linalg.det(A[keep[:, None, :, None], keep[None, :, None, :]])
     signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
     return (signs * minors).T

@@ -22,8 +22,10 @@ class TolerancePolicy:
     Parameters
     ----------
     rank_rtol : float
-        Relative cutoff for numerical rank: singular values above
-        ``rank_rtol * sigma_max * max(shape)`` count toward the rank.
+        Relative cutoff for numerical rank: values above
+        ``rank_rtol * v_max * size`` count toward the rank, with ``size``
+        ``max(shape)`` for the singular values of a matrix and the row count
+        n for those of a contraction (:func:`_numerical_rank`).
     gap_rtol : float
         Minimum relative gap ``(s_i - s_{i+1}) / s_1`` between consecutive
         retained singular values for them to count as distinct.
@@ -68,6 +70,16 @@ def _as_float_matrix(X, name: str = "matrix") -> np.ndarray:
     return X
 
 
+def _numerical_rank(values: np.ndarray, size: int, policy: TolerancePolicy) -> int:
+    """Number of the decreasing ``values`` above the rank cutoff ``rank_rtol * values[0] * size``.
+
+    The one rank cutoff of the package.  ``size`` is ``max(shape)`` for the
+    singular values of a matrix and the row count n for a contraction.
+    """
+    cutoff = policy.rank_rtol * (values[0] if values.size else 0.0) * size
+    return int(np.count_nonzero(values > cutoff))
+
+
 @dataclass(frozen=True)
 class ReducedSvd:
     """Compact SVD keeping only singular values above the policy rank cutoff."""
@@ -93,8 +105,7 @@ def reduced_svd(X, policy: TolerancePolicy = DEFAULT_POLICY) -> ReducedSvd:
     """
     X = _as_float_matrix(X)
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    cutoff = policy.rank_rtol * (s[0] if s.size else 0.0) * max(X.shape)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = _numerical_rank(s, max(X.shape), policy)
     return ReducedSvd(
         left=U[:, :rank].copy(),
         sigma=s[:rank].copy(),
@@ -106,8 +117,7 @@ def kernel_basis(X, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the null space of ``X``, shape (cols, nullity)."""
     X = _as_float_matrix(X)
     _, s, Vt = np.linalg.svd(X, full_matrices=True)
-    cutoff = policy.rank_rtol * (s[0] if s.size else 0.0) * max(X.shape)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = _numerical_rank(s, max(X.shape), policy)
     return Vt[rank:].T.copy()
 
 

@@ -79,7 +79,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .combinat import binom, incidence_matrix
+from .combinat import _signed_unfolding_index, binom, incidence_matrix
 from .errors import (
     CompoundKitError,
     DecompositionFailedError,
@@ -91,9 +91,10 @@ from .errors import (
     SingularInputError,
     VerificationFailedError,
 )
-from .exterior import _contraction_table, compound
+from .exterior import compound
 from .numerics import (
-    DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, gf2_solver, reduced_svd,
+    DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, _numerical_rank, gf2_solver,
+    reduced_svd,
 )
 from .reference import (  # noqa: F401  (re-exported: the paper's reference route)
     AlignedFactors,
@@ -306,7 +307,7 @@ def _resample(
     for attempt in range(1, draws + 1):
         Q = rng.standard_normal((n, n))
         q_sigma = np.linalg.svd(Q, compute_uv=False)
-        if q_sigma[-1] <= policy.rank_rtol * q_sigma[0] * n:
+        if _numerical_rank(q_sigma, n, policy) < n:
             continue  # essentially singular draw; try again
         M_tilde = compound(Q, k) @ M
         found = draw(M_tilde)
@@ -327,36 +328,18 @@ def _min_gap(values: np.ndarray) -> float:
     return float(np.min(values[:-1] - values[1:]) / values[0])
 
 
-def _contraction_rank(values: np.ndarray, n: int, policy: TolerancePolicy) -> int:
-    """Number of contraction singular values above the rank cutoff of an n-row unfolding."""
-    return int(np.count_nonzero(values > policy.rank_rtol * values[0] * n))
-
-
 #: Rows of ``E^T`` per block of the QR in :func:`_contraction_frame`; at
 #: n = 10 a block holds 160 KiB, which stays in cache.
 _QR_BLOCK_ROWS = 2048
-
-
-@lru_cache(maxsize=None)
-def _signed_unfolding_index(n: int, k: int) -> np.ndarray:
-    """Gather index of the signed unfolding into ``[F; -F; 0]``, shape (n, binom(n, k-1)).
-
-    For F with binom(n, k) rows, ``concatenate((F, -F, zeros))`` taken at
-    ``index[a, S]`` is the row ``eps(a, S) F[S + {a}]``, and 0 where a is in
-    S (see :func:`compound_kit.exterior._contraction_table`).  The array is
-    shared but stays writeable: ``np.take`` copies a read-only index on
-    every call.
-    """
-    rows, signs = _contraction_table(n, k)
-    total = binom(n, k)
-    return np.where(signs > 0, rows, np.where(signs < 0, rows + total, 2 * total))
 
 
 def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The left singular vectors and values of the signed (k-1)-unfolding of F.
 
     F has binom(n, k) rows.  Its rows are unfolded into the n-row matrix
-    ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S.  For
+    ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S, with
+    the sign and the rank of ``S + {a}`` read from the one signed index of
+    :func:`compound_kit.combinat._signed_unfolding_index`.  For
     ``F F^T = compound(G, k)`` with ``G = U diag(g) U^T`` this gives
     ``E E^T = U diag(lam) U^T`` with ``lam_i = g_i e_{k-1}(g_j : j != i)``,
     and ``lam_i - lam_j = (g_i - g_j) e_{k-1}(the other g)``.  So for a
@@ -384,7 +367,7 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     vectors are never formed.  ``E^T`` is tall (52,920 x 10 at n = 10,
     k = 5), so it is never held whole.  It is built from blocks of F's
     columns, about ``_QR_BLOCK_ROWS`` rows at a time, each by one gather
-    that also applies the signs (:func:`_signed_unfolding_index`).  The
+    of that index, which also applies the signs.  The
     triangular factors of the blocks are stacked and factored once more,
     the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
     Comput., 2012).  Every step is orthogonal and the row order does not
@@ -592,7 +575,7 @@ def _contract(
     with _stage(report, "preprocess"):
         unit = M / scale
         frame, values = _contraction_frame(unit, n, k)
-        r = _contraction_rank(values, n, policy)
+        r = _numerical_rank(values, n, policy)
     if r == k:
         return _rank_one_family(M, n, m, k, policy, report, frame[:, :k])
     if not k < r <= min(n, m):
@@ -601,7 +584,7 @@ def _contract(
     def draw(M_tilde: np.ndarray):
         frame, values = _contraction_frame(M_tilde, n, k)
         # a draw whose rank drifted through the cutoff is not usable
-        usable = _contraction_rank(values, n, policy) == r
+        usable = _numerical_rank(values, n, policy) == r
         return (frame[:, :r], values[:r], None) if usable else None
 
     report.route = "contraction"
@@ -790,7 +773,7 @@ def _rank_one_family(
 def _rank_k_frame(F: np.ndarray, n: int, k: int, policy: TolerancePolicy, side: str) -> np.ndarray:
     """The top k left singular vectors of the contraction of F, whose rank must be k."""
     frame, values = _contraction_frame(F, n, k)
-    rank = _contraction_rank(values, n, policy)
+    rank = _numerical_rank(values, n, policy)
     if rank != k:
         raise NotCompoundDecomposableError(
             f"{side} singular vector is not decomposable "

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import binom, incidence_matrix
+from .combinat import _tuple_array, binom, incidence_matrix
 from .errors import (
     AlignmentFailedError,
     DecompositionFailedError,
@@ -31,7 +31,7 @@ from .errors import (
     OrderingFailedError,
     SignAdjustmentFailedError,
 )
-from .exterior import _tuple_array, compound, wedge_matrix
+from .exterior import compound, wedge_matrix
 from .numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,

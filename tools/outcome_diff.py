@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/outcome_diff.py OLD_TREE NEW_TREE [--seeds 1 2 3 4] [--cases 5000]
+    python tools/outcome_diff.py OLD_TREE NEW_TREE [--seeds 1 2 3 4] [--cases 5000] [--handover]
 
 Each tree is a checkout holding ``src/compound_kit``.  The corpus is built
 from the seeds alone, with the benchmark's own determinants
@@ -14,7 +14,10 @@ Gaussian M, rank-2 M, outer products and noise-level M (the rounding noise
 of a rank k-1 source's compound), all with 2 <= n, m <= 7 and every k.  Each tree
 runs the whole corpus in its own subprocess, with BLAS pinned to one thread
 and every warning turned into an error; an exception without a tag, a
-warning among them, is recorded as ``untagged:<type>``.
+warning among them, is recorded as ``untagged:<type>``.  With
+``--handover`` both workers rebind ``recovery._contraction_rung`` to return
+None, so that every input is handed over and the SVD route (rung 2) runs
+alone.
 
 For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 ``resample_count``, the stage names and the bytes of the answer are
@@ -103,13 +106,15 @@ def corpus(seeds: list[int], cases: int) -> list[tuple]:
     return out
 
 
-def run_tree(src: Path, corpus_path: Path, out_path: Path) -> None:
+def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> None:
     """The worker: every corpus input through the tree's ``inverse_compound``, as JSON records."""
     sys.path.insert(0, str(src))
     import compound_kit as ck
 
     if src.resolve() not in Path(ck.__file__).resolve().parents:
         raise SystemExit(f"imported {ck.__file__}, not the tree under {src}")
+    if handover:
+        ck.recovery._contraction_rung = lambda *args: None
     records = []
     for kind, M, n, m, k, rank_rtol in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
@@ -152,13 +157,16 @@ def tally(records: list[dict]) -> dict[str, int]:
 
 def main() -> int:
     if sys.argv[1:2] == ["--worker"]:
-        run_tree(*map(Path, sys.argv[2:5]))
+        run_tree(*map(Path, sys.argv[2:5]), handover=sys.argv[5:6] == ["--handover"])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="checkout holding src/compound_kit")
     parser.add_argument("new", type=Path, help="checkout holding src/compound_kit")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
     parser.add_argument("--cases", type=int, default=5000, help="inputs per seed")
+    parser.add_argument(
+        "--handover", action="store_true", help="hand every input over to the SVD route (rung 2)"
+    )
     args = parser.parse_args()
 
     inputs = corpus(args.seeds, args.cases)
@@ -171,12 +179,13 @@ def main() -> int:
         for label, tree in (("old", args.old), ("new", args.new)):
             out_path = Path(tmp) / f"{label}.json"
             command = [sys.executable, __file__, "--worker", str(tree / "src"), str(corpus_path),
-                       str(out_path)]
+                       str(out_path)] + ["--handover"] * args.handover
             subprocess.run(command, check=True, env=env)
             runs.append(json.loads(out_path.read_text()))
     old, new = runs
 
-    print(f"{len(inputs)} inputs, seeds {' '.join(map(str, args.seeds))}, {args.cases} per seed")
+    print(f"{len(inputs)} inputs, seeds {' '.join(map(str, args.seeds))}, {args.cases} per seed"
+          + (", rung 2 alone (--handover)" if args.handover else ""))
     old_tally, new_tally = tally(old), tally(new)
     for key in sorted(set(old_tally) | set(new_tally)):
         print(f"  {key:28s} old {old_tally.get(key, 0):6d}  new {new_tally.get(key, 0):6d}")
