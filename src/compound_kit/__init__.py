@@ -5,154 +5,29 @@ minors.  This package computes compounds, wedge products, and adjugate
 identities, and solves the inverse problem: given a matrix known to be a
 k-th compound, reconstruct its source, which is unique up to sign whenever
 the compound has rank above one.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+them in this order.
 """
 
 __version__ = "0.1.0"
 
-from .combinat import (
-    IndexTuple,
-    SubsetIncidence,
-    binom,
-    incidence_matrix,
-    indexof_tuple,
-    lex_tuples,
-    unrank_tuple,
-)
-from .errors import (
-    AlignmentFailedError,
-    CompoundKitError,
-    DecompositionFailedError,
-    DegenerateInputError,
-    InconsistentCompoundValuesError,
-    InvalidArgumentError,
-    MatrixIOError,
-    NotCompoundDecomposableError,
-    NumericalFailureError,
-    OrderingFailedError,
-    PreprocessingFailedError,
-    RankDeficientSystemError,
-    SignAdjustmentFailedError,
-    SingularInputError,
-    VerificationFailedError,
-)
-from .exterior import (
-    DecomposabilityResult,
-    SignReversalPair,
-    WedgeMatrix,
-    adjugate,
-    adjugate_via_compound,
-    compound,
-    is_decomposable,
-    sign_reversal_pair,
-    wedge,
-    wedge_matrix,
-)
-from .matio import parse_matrix, render_matrix, write_matrix
-from .numerics import (
-    DEFAULT_POLICY,
-    LeastSquaresSolution,
-    ReducedSvd,
-    TolerancePolicy,
-    gf2_solve,
-    gf2_solver,
-    kernel_basis,
-    least_squares,
-    reduced_svd,
-    subspace_intersection,
-)
-from .recovery import (
-    RankDeficientFamily,
-    RankOneFamily,
-    RecoveryOutcome,
-    RecoveryReport,
-    RecoveryResult,
-    UniqueUpToSign,
-    closed_form_inverse_nminus1,
-    family_contains,
-    infer_base_rank,
-    inverse_compound,
-    preprocess_distinct,
-    rank_one_inverse,
-    reconstruction_residual,
-    recover_singular_values,
-)
-from .reference import (
-    AlignedFactors,
-    align_and_sign_adjust,
-    order_compound_singular_values,
-    wedge_decompose,
-)
+from . import combinat, errors, exterior, matio, numerics, recovery, reference
+from .combinat import *
+from .errors import *
+from .exterior import *
+from .matio import *
+from .numerics import *
+from .recovery import *
+from .reference import *
 
 __all__ = [
     "__version__",
-    # combinat
-    "IndexTuple",
-    "SubsetIncidence",
-    "binom",
-    "incidence_matrix",
-    "indexof_tuple",
-    "lex_tuples",
-    "unrank_tuple",
-    # errors
-    "AlignmentFailedError",
-    "CompoundKitError",
-    "DecompositionFailedError",
-    "DegenerateInputError",
-    "InconsistentCompoundValuesError",
-    "InvalidArgumentError",
-    "MatrixIOError",
-    "NotCompoundDecomposableError",
-    "NumericalFailureError",
-    "OrderingFailedError",
-    "PreprocessingFailedError",
-    "RankDeficientSystemError",
-    "SignAdjustmentFailedError",
-    "SingularInputError",
-    "VerificationFailedError",
-    # exterior
-    "DecomposabilityResult",
-    "SignReversalPair",
-    "WedgeMatrix",
-    "adjugate",
-    "adjugate_via_compound",
-    "compound",
-    "is_decomposable",
-    "sign_reversal_pair",
-    "wedge",
-    "wedge_matrix",
-    # matio
-    "parse_matrix",
-    "render_matrix",
-    "write_matrix",
-    # numerics
-    "DEFAULT_POLICY",
-    "LeastSquaresSolution",
-    "ReducedSvd",
-    "TolerancePolicy",
-    "gf2_solve",
-    "gf2_solver",
-    "kernel_basis",
-    "least_squares",
-    "reduced_svd",
-    "subspace_intersection",
-    # recovery
-    "RankDeficientFamily",
-    "RankOneFamily",
-    "RecoveryOutcome",
-    "RecoveryReport",
-    "RecoveryResult",
-    "UniqueUpToSign",
-    "closed_form_inverse_nminus1",
-    "family_contains",
-    "infer_base_rank",
-    "inverse_compound",
-    "preprocess_distinct",
-    "rank_one_inverse",
-    "reconstruction_residual",
-    "recover_singular_values",
-    # reference
-    "AlignedFactors",
-    "align_and_sign_adjust",
-    "order_compound_singular_values",
-    "wedge_decompose",
+    *combinat.__all__,
+    *errors.__all__,
+    *exterior.__all__,
+    *matio.__all__,
+    *numerics.__all__,
+    *recovery.__all__,
+    *reference.__all__,
 ]

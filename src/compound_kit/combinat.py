@@ -24,6 +24,16 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+__all__ = [
+    "IndexTuple",
+    "SubsetIncidence",
+    "binom",
+    "incidence_matrix",
+    "indexof_tuple",
+    "lex_tuples",
+    "unrank_tuple",
+]
+
 #: Cap on binom(n, k) for any one enumerated index set.  It bounds each
 #: index set, not the product of two of them; :data:`MAX_ARRAY_ENTRIES`
 #: bounds the arrays a compound is built in.

@@ -7,6 +7,24 @@ that are not a compound of the requested shape exit 1, and numerical failures
 inside the recovery pipeline, like any other error, exit 2.
 """
 
+__all__ = [
+    "AlignmentFailedError",
+    "CompoundKitError",
+    "DecompositionFailedError",
+    "DegenerateInputError",
+    "InconsistentCompoundValuesError",
+    "InvalidArgumentError",
+    "MatrixIOError",
+    "NotCompoundDecomposableError",
+    "NumericalFailureError",
+    "OrderingFailedError",
+    "PreprocessingFailedError",
+    "RankDeficientSystemError",
+    "SignAdjustmentFailedError",
+    "SingularInputError",
+    "VerificationFailedError",
+]
+
 
 class CompoundKitError(Exception):
     tag = "error"

@@ -26,6 +26,19 @@ from .combinat import (
 from .errors import DegenerateInputError, InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _as_float_matrix, kernel_basis
 
+__all__ = [
+    "DecomposabilityResult",
+    "SignReversalPair",
+    "WedgeMatrix",
+    "adjugate",
+    "adjugate_via_compound",
+    "compound",
+    "is_decomposable",
+    "sign_reversal_pair",
+    "wedge",
+    "wedge_matrix",
+]
+
 
 # Cost model of compound(), in nanoseconds on one core.  The batched LU
 # determinant of all k x k blocks costs a call overhead plus, per minor, a
@@ -376,8 +389,8 @@ def adjugate(A) -> np.ndarray:
         raise InvalidArgumentError(f"matrix must be square, got shape {A.shape}")
     if n == 1:
         return np.ones((1, 1))
-    keep = _tuple_array(n, n - 1)[::-1]  # row i omits index i
-    minors = np.linalg.det(A[keep[:, None, :, None], keep[None, :, None, :]])
+    # compound()'s LU-stack minors, reversed so that row and column i omit index i
+    minors = _minors(A, n - 1, ())[::-1, ::-1]
     signs = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
     return (signs * minors).T
 

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import MatrixIOError
 
+__all__ = [
+    "parse_matrix",
+    "render_matrix",
+    "write_matrix",
+]
+
 
 def parse_matrix(path) -> np.ndarray:
     """Read a matrix from a CSV or JSON file (vectors are 1 x m or n x 1)."""

@@ -14,6 +14,19 @@ import numpy as np
 
 from .errors import InvalidArgumentError, RankDeficientSystemError
 
+__all__ = [
+    "DEFAULT_POLICY",
+    "LeastSquaresSolution",
+    "ReducedSvd",
+    "TolerancePolicy",
+    "gf2_solve",
+    "gf2_solver",
+    "kernel_basis",
+    "least_squares",
+    "reduced_svd",
+    "subspace_intersection",
+]
+
 
 @dataclass(frozen=True)
 class TolerancePolicy:

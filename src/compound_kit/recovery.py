@@ -65,7 +65,8 @@ The stages after the rank, for r > k:
 The paper's own route, which wedge-decomposes every column of the SVD
 factors and aligns the directions against them, lives in
 :mod:`compound_kit.reference` as the oracle the tests check this pipeline
-against; its public names are re-exported here.
+against.  Its public names are importable from this module too, but they
+are not in its ``__all__``: :mod:`compound_kit.reference` exports them.
 """
 
 from __future__ import annotations
@@ -96,31 +97,26 @@ from .numerics import (
     DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, _numerical_rank, gf2_solver,
     reduced_svd,
 )
-from .reference import (  # noqa: F401  (re-exported: the paper's reference route)
-    AlignedFactors,
-    _exhaustive_sign_vector,
-    align_and_sign_adjust,
-    order_compound_singular_values,
+from .reference import (  # noqa: F401  (importable from here, exported by reference)
+    AlignedFactors, _exhaustive_sign_vector, align_and_sign_adjust, order_compound_singular_values,
     wedge_decompose,
 )
 
 __all__ = [
-    "UniqueUpToSign",
-    "RankOneFamily",
     "RankDeficientFamily",
+    "RankOneFamily",
     "RecoveryOutcome",
     "RecoveryReport",
     "RecoveryResult",
-    "infer_base_rank",
-    "preprocess_distinct",
-    "wedge_decompose",
-    "order_compound_singular_values",
-    "recover_singular_values",
-    "align_and_sign_adjust",
-    "inverse_compound",
-    "rank_one_inverse",
-    "family_contains",
+    "UniqueUpToSign",
     "closed_form_inverse_nminus1",
+    "family_contains",
+    "infer_base_rank",
+    "inverse_compound",
+    "preprocess_distinct",
+    "rank_one_inverse",
+    "reconstruction_residual",
+    "recover_singular_values",
 ]
 
 
@@ -246,6 +242,8 @@ def preprocess_distinct(
     the same loop with the same draws.
     """
     M = _as_float_matrix(M, "M")
+    if not 1 <= k <= n:
+        raise InvalidArgumentError(f"need 1 <= k <= n = {n}, got k={k}")
     if M.shape[0] != binom(n, k):
         raise InvalidArgumentError(
             f"M has {M.shape[0]} rows, expected binom({n}, {k}) = {binom(n, k)}"
@@ -465,6 +463,17 @@ def _incidence_solver(r: int, k: int) -> _IncidenceSolver:
     return solver
 
 
+def _as_compound(M, n: int, m: int, k: int) -> np.ndarray:
+    """M as a float matrix, checked to have the shape of the k-th compound of an n x m source."""
+    M = _as_float_matrix(M, "M")
+    if not 1 <= k <= min(n, m):
+        raise InvalidArgumentError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got k={k}")
+    expected = (binom(n, k), binom(m, k))
+    if M.shape != expected:
+        raise InvalidArgumentError(f"M has shape {M.shape}, expected {expected}")
+    return M
+
+
 def inverse_compound(
     M,
     n: int,
@@ -500,7 +509,8 @@ def inverse_compound(
     Raises
     ------
     InvalidArgumentError
-        If M's shape does not match (n, m, k), or if a nonzero M has
+        If k is outside 1..min(n, m) or M's shape does not match (n, m, k)
+        (the check :func:`rank_one_inverse` shares), or if a nonzero M has
         numerical rank 0 under ``policy.rank_rtol``.
     NotCompoundDecomposableError
         If the rank of M is not a binomial binom(r, k), or if the final
@@ -511,13 +521,7 @@ def inverse_compound(
         in the compounds of the recovered frames, which is what an input
         that no compound is close to fails first.
     """
-    M = _as_float_matrix(M, "M")
-    if not 1 <= k <= min(n, m):
-        raise InvalidArgumentError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got k={k}")
-    expected = (binom(n, k), binom(m, k))
-    if M.shape != expected:
-        raise InvalidArgumentError(f"M has shape {M.shape}, expected {expected}")
-
+    M = _as_compound(M, n, m, k)
     report = RecoveryReport()
     if not np.any(M):
         # every matrix of rank below k has the zero compound
@@ -566,7 +570,7 @@ def _contract(
     contraction rank r outside ``k <= r <= min(n, m)`` raises
     :class:`NotCompoundDecomposableError`.
     """
-    if m * math.comb(m, k - 1) * math.comb(n, k) < n * math.comb(n, k - 1) * math.comb(m, k):
+    if k > 1 and m > n:  # the side with more rows has the smaller unfolding
         found = _contract(M.T, m, n, k, policy, report)
         if isinstance(found, RankOneFamily):
             return RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
@@ -724,10 +728,7 @@ def rank_one_inverse(
     diagonal produces one preimage.  All preimages differ by an inner
     determinant-one factor T.
     """
-    M = _as_float_matrix(M, "M")
-    expected = (binom(n, k), binom(m, k))
-    if M.shape != expected:
-        raise InvalidArgumentError(f"M has shape {M.shape}, expected {expected}")
+    M = _as_compound(M, n, m, k)
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")

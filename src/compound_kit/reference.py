@@ -41,6 +41,13 @@ from .numerics import (
     subspace_intersection,
 )
 
+__all__ = [
+    "AlignedFactors",
+    "align_and_sign_adjust",
+    "order_compound_singular_values",
+    "wedge_decompose",
+]
+
 
 def wedge_decompose(
     Z, n: int, r: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY

@@ -15,6 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import exterior, recovery
 from .combinat import IndexTuple, lex_tuples
 from .errors import InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy
@@ -206,8 +207,6 @@ def fixture_checks(policy: TolerancePolicy = DEFAULT_POLICY) -> list[FixtureChec
     use an absolute tolerance of 5e-3 (half a final digit) unless the values
     are integers, which must match exactly.
     """
-    from . import exterior, recovery  # local import to keep module load light
-
     fx = load_fixtures()
     checks: list[FixtureCheck] = []
 

@@ -385,6 +385,7 @@ def test_adjugate_identity_and_diagonal():
 
 def test_adjugate_one_by_one():
     assert_allclose(adjugate(np.array([[7.0]])), np.array([[1.0]]), rtol=0, atol=0)
+    assert_allclose(adjugate_via_compound(np.array([[7.0]])), np.array([[1.0]]), rtol=0, atol=0)
 
 
 def test_adjugate_fundamental_identity():
@@ -406,6 +407,13 @@ def test_adjugate_via_compound_agrees():
     for n in (2, 3, 4, 6):
         A = rng.standard_normal((n, n))
         assert_allclose(adjugate_via_compound(A), adjugate(A), rtol=1e-10, atol=1e-12)
+
+
+def test_adjugate_does_not_warn_on_a_subnormal_pivot():
+    # a singular 3 x 3 block whose elimination meets the subnormal pivot
+    # 8e-224 * 4e-100; tier-1 turns the warning of det into an error
+    A = np.array([[1, 0, 0, 0], [0, 8.25653623e-224, 0, 1], [0, 0, 0, 0], [0, 1, 4.0999795e-100, 0]])
+    assert np.array_equal(adjugate(A), adjugate_via_compound(A))
 
 
 def test_double_adjugate_identities():

@@ -102,6 +102,17 @@ def test_preprocess_noop_when_values_distinct(recovery4):
     assert res.M_tilde is M or np.array_equal(res.M_tilde, M)
 
 
+@pytest.mark.parametrize(
+    "M", [np.zeros((6, 6)), np.outer(np.arange(1.0, 7.0), np.ones(6))], ids=["zero", "rank-one"]
+)
+def test_preprocess_leaves_rank_at_most_one_alone(M):
+    res = preprocess_distinct(M, 4, 2)
+    assert_allclose(res.Q, np.eye(4), rtol=0, atol=0)
+    assert res.M_tilde is M
+    assert not res.used
+    assert res.resamples == 0
+
+
 def test_preprocess_separates_identity():
     res = preprocess_distinct(np.eye(6), 4, 2)
     assert res.used

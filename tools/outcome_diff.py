@@ -23,6 +23,13 @@ For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 ``resample_count``, the stage names and the bytes of the answer are
 compared, and the count of differing inputs is printed per field, with the
 first few differing inputs.  The exit status is 1 when any field differs.
+
+For the kinds whose source is the answer (exact, graded, repeated,
+orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
+the worst relative error ``|A - source| / |source|`` of each tree's
+``UniqueUpToSign`` answers is printed per kind, up to sign at even k, with
+both matrices divided by ``max|source|`` before the norms are taken; graded
+is printed also as error / cond.  Accuracy does not enter the exit status.
 Standard library and NumPy only.
 """
 
@@ -50,6 +57,7 @@ KINDS = (
     "gaussian", "rank-2", "outer", "noise",
 )
 FIELDS = ("outcome", "tag", "route", "inferred_r", "resample_count", "stages", "answer")
+SOURCED = ("exact", "graded", "repeated", "orthogonal", "rank-deficient", "scaled")
 SHOW = 5  # differing inputs printed
 
 
@@ -62,19 +70,24 @@ def source(rng: np.random.Generator, n: int, m: int, spectrum: np.ndarray) -> np
 
 
 def make_case(rng: np.random.Generator, kind: str):
-    """One corpus input: (kind, M, n, m, k, rank_rtol or None)."""
+    """One corpus input: (kind, M, n, m, k, rank_rtol or None, (source, cond) or None).
+
+    The source is kept for the kinds in :data:`SOURCED`, with the condition
+    number of its spectrum.
+    """
     n, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
     k = int(rng.integers(1, min(n, m) + 1))
     shape = (math.comb(n, k), math.comb(m, k))
     r = min(n, m)
     rank_rtol = None
     if kind == "gaussian":
-        return kind, rng.standard_normal(shape), n, m, k, None
+        return kind, rng.standard_normal(shape), n, m, k, None, None
     if kind == "rank-2":
         M = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
-        return kind, M, n, m, k, None
+        return kind, M, n, m, k, None, None
     if kind == "outer":
-        return kind, np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])), n, m, k, None
+        outer = np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1]))
+        return kind, outer, n, m, k, None, None
     spectrum = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
     if kind == "graded":
         spectrum = float(10.0 ** rng.uniform(2, 10)) ** (-np.arange(r) / max(r - 1, 1))
@@ -88,13 +101,17 @@ def make_case(rng: np.random.Generator, kind: str):
         spectrum = spectrum[: int(rng.integers(k, max(k, r - 1) + 1))]
     elif kind == "noise":
         spectrum = spectrum[: k - 1]
+    A = source(rng, n, m, spectrum)
     with np.errstate(all="ignore"):  # a singular block may meet a subnormal pivot
-        M = minors(source(rng, n, m, spectrum), k)
+        M = minors(A, k)
     if kind == "scaled":
-        M = M * 10.0 ** float(rng.choice([-1, 1]) * rng.uniform(50, 200))
+        exponent = float(rng.choice([-1, 1]) * rng.uniform(50, 200))
+        M = M * 10.0**exponent
+        A = A * 10.0 ** (exponent / k)
     elif kind == "perturbed":
         M = M + 10.0 ** rng.uniform(-12, -4) * np.abs(M).max() * rng.standard_normal(shape)
-    return kind, M, n, m, k, rank_rtol
+    truth = (A, float(spectrum[0] / spectrum[-1])) if kind in SOURCED else None
+    return kind, M, n, m, k, rank_rtol, truth
 
 
 def corpus(seeds: list[int], cases: int) -> list[tuple]:
@@ -104,6 +121,16 @@ def corpus(seeds: list[int], cases: int) -> list[tuple]:
         for index in range(cases):
             out.append(make_case(rng, KINDS[index % len(KINDS)]))
     return out
+
+
+def relative_error(A: np.ndarray, truth: np.ndarray, k: int) -> float:
+    """``|A - truth| / |truth|``, up to sign at even k, after dividing both by ``max|truth|``."""
+    peak = float(np.max(np.abs(truth)))
+    A, truth = A / peak, truth / peak
+    error = np.linalg.norm(A - truth)
+    if k % 2 == 0:
+        error = min(error, np.linalg.norm(A + truth))
+    return float(error / np.linalg.norm(truth))
 
 
 def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> None:
@@ -116,9 +143,9 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
     if handover:
         ck.recovery._contraction_rung = lambda *args: None
     records = []
-    for kind, M, n, m, k, rank_rtol in pickle.loads(corpus_path.read_bytes()):
+    for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
-        record = dict.fromkeys(FIELDS)
+        record = dict.fromkeys(FIELDS + ("error",))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -131,6 +158,8 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
             outcome, report = result.outcome, result.report
             if isinstance(outcome, ck.UniqueUpToSign):
                 arrays = (outcome.A,)
+                if truth is not None:
+                    record["error"] = relative_error(outcome.A, truth[0], k)
             elif isinstance(outcome, ck.RankOneFamily):
                 arrays = (outcome.U, outcome.Sigma, outcome.V)
             else:
@@ -153,6 +182,18 @@ def tally(records: list[dict]) -> dict[str, int]:
         key = record["tag"] if record["outcome"] == "refused" else record["outcome"]
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def worst_errors(records: list[dict], inputs: list[tuple]) -> dict[str, float]:
+    """The worst relative error per sourced kind, and of graded also divided by cond."""
+    worst: dict[str, float] = {}
+    for record, (kind, *_, truth) in zip(records, inputs):
+        if record["error"] is None:
+            continue
+        worst[kind] = max(worst.get(kind, 0.0), record["error"])
+        if kind == "graded":
+            worst["graded/cond"] = max(worst.get("graded/cond", 0.0), record["error"] / truth[1])
+    return worst
 
 
 def main() -> int:
@@ -189,13 +230,20 @@ def main() -> int:
     old_tally, new_tally = tally(old), tally(new)
     for key in sorted(set(old_tally) | set(new_tally)):
         print(f"  {key:28s} old {old_tally.get(key, 0):6d}  new {new_tally.get(key, 0):6d}")
-    differing = [i for i in range(len(inputs)) if old[i] != new[i]]
+    print("worst relative error of the UniqueUpToSign answers against their source:")
+    old_worst, new_worst = worst_errors(old, inputs), worst_errors(new, inputs)
+    for key in ("exact", "graded", "graded/cond", *SOURCED[2:]):
+        old_value, new_value = old_worst.get(key, math.nan), new_worst.get(key, math.nan)
+        print(f"  {key:28s} old {old_value:.1e}  new {new_value:.1e}")
+    differing = [
+        i for i in range(len(inputs)) if any(old[i][name] != new[i][name] for name in FIELDS)
+    ]
     print(f"differences ({len(differing)} inputs differ in at least one field):")
     for name in FIELDS:
         count = sum(old[i][name] != new[i][name] for i in differing)
         print(f"  {name:16s} {count}")
     for i in differing[:SHOW]:
-        kind, _, n, m, k, rank_rtol = inputs[i]
+        kind, _, n, m, k, rank_rtol, _ = inputs[i]
         fields = {name: (old[i][name], new[i][name]) for name in FIELDS if old[i][name] != new[i][name]}
         print(f"  input {i}: {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: {fields}")
     return 1 if differing else 0
