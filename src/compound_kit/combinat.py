@@ -220,3 +220,25 @@ def _signed_unfolding_index(n: int, k: int) -> np.ndarray:
     for p in range(k):
         index[tuples[:, p], faces[p]] = np.arange(total) + total * (p % 2)
     return index
+
+
+@lru_cache(maxsize=None)
+def _signed_wedge_index(n: int, k: int) -> np.ndarray:
+    """The signed map (T, a) -> T - {a}, as a gather index into ``[z; -z; 0]``.
+
+    Shape (binom(n, k), n), indexed by the lex rank of a k-tuple ``T`` over
+    range(n) and an element ``a``.  For z with ``total = binom(n, k-1)``
+    entries, ``concatenate((z, -z, [0]))`` taken at ``index[T, a]`` is
+    ``(-1)^p z[T - {a}]`` where ``a = T[p]``, and 0 where ``a`` is not in T:
+    the matrix that maps x to the coordinates of the wedge ``x ^ z``.  So
+    the entry is the rank of ``T - {a}``, plus ``total`` when ``a`` sits at
+    an odd position of T, and ``2 * total`` where ``a`` is not in T.  It is
+    the transpose map of :func:`_signed_unfolding_index`.
+    """
+    tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
+    total = binom(n, k - 1)
+    index = np.full((tuples.shape[0], n), 2 * total, dtype=np.intp)
+    rows = np.arange(tuples.shape[0])
+    for p in range(k):
+        index[rows, tuples[:, p]] = faces[p] + total * (p % 2)
+    return index

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import (
-    MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, _face_ranks, _lex_rank, _tuple_array, _tuple_columns, binom,
+    MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, _face_ranks, _lex_rank, _signed_wedge_index, _tuple_array,
+    _tuple_columns, binom,
 )
 from .errors import DegenerateInputError, InvalidArgumentError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _as_float_matrix, kernel_basis
@@ -344,11 +345,7 @@ def wedge_matrix(z, n: int, k: int) -> WedgeMatrix:
         raise InvalidArgumentError("coordinate vector contains non-finite entries")
     if not np.any(z):
         raise DegenerateInputError("coordinate vector is exactly zero")
-    tuples, faces = _tuple_array(n, k + 1), _face_ranks(n, k + 1)
-    rows = np.arange(tuples.shape[0])
-    data = np.zeros((rows.size, n))
-    for p in range(k + 1):
-        data[rows, tuples[:, p]] = -z[faces[p]] if p % 2 else z[faces[p]]
+    data = np.concatenate((z, -z, [0.0]))[_signed_wedge_index(n, k + 1)]
     return WedgeMatrix(data=data, ambient=n, grade=k)
 
 
@@ -377,16 +374,22 @@ def is_decomposable(
     return DecomposabilityResult(kernel.shape[1] == k, kernel)
 
 
+def _as_square(A) -> np.ndarray:
+    """A as a float matrix, checked to be square and nonempty."""
+    A = _as_float_matrix(A)
+    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise InvalidArgumentError(f"matrix must be square and nonempty, got shape {A.shape}")
+    return A
+
+
 def adjugate(A) -> np.ndarray:
     """Adjugate of a square matrix from signed cofactors; adj(A) A = det(A) I.
 
     Computed entrywise from batched (n-1) x (n-1) minors, with no division,
     so singular input is fine.  The 1 x 1 adjugate is the identity.
     """
-    A = _as_float_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise InvalidArgumentError(f"matrix must be square, got shape {A.shape}")
+    A = _as_square(A)
+    n = A.shape[0]
     if n == 1:
         return np.ones((1, 1))
     # compound()'s LU-stack minors, reversed so that row and column i omit index i
@@ -417,10 +420,8 @@ def sign_reversal_pair(n: int) -> SignReversalPair:
 
 def adjugate_via_compound(A) -> np.ndarray:
     """Adjugate computed through the (n-1)-th compound instead of cofactors."""
-    A = _as_float_matrix(A)
-    n, m = A.shape
-    if n != m:
-        raise InvalidArgumentError(f"matrix must be square, got shape {A.shape}")
+    A = _as_square(A)
+    n = A.shape[0]
     if n == 1:
         return np.ones((1, 1))
     S, P = sign_reversal_pair(n)

@@ -11,10 +11,10 @@ the rank of M:
   :class:`RankOneFamily`.
 * M = 0: the preimages are exactly the matrices of rank below k.
 
-Every nonzero M takes one of two rungs.  They differ only in their scale,
-their first contraction and their draw: each finds its left frame and the
-rank r from a signed (k-1)-contraction (:func:`_contraction_frame`), and
-both then run the same stages after the rank, verification included
+Every nonzero M takes one of two rungs.  Each finds its left frame and the
+rank r from a signed (k-1)-contraction (:func:`_contraction_frame`).  They
+differ in their scale, their first contraction, their draw and their right
+side; resampling, composition and verification are shared
 (:func:`_recover`).
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
@@ -49,13 +49,19 @@ The stages after the rank, for r > k:
   loop of :func:`preprocess_distinct`).  Rung 1 takes one draw, which
   contracts the new M directly; rung 2 takes up to ``max_resample``, each
   with its own SVD.
-* ``frames``: the right frame V is the top r of the contraction of rung 1's
-  narrow ``F = M^T compound(U, k)`` or of rung 2's ``R diag(sqrt(s))``.
-  Then ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` must be
-  diagonal.
-* ``singular_values``: the log-magnitudes of that diagonal give sigma
-  through the subset-incidence least squares, and its signs give the
-  column flips of V through a parity system over GF(2).  Both systems are
+* ``frames``, rung 1 (:func:`_design_right`): r design products
+  ``f_I = M^T c_I(U)``, for ``I = {0..k-1}``, its k faces with k, and
+  ``{0..k-2, i}`` for i > k, are wedges whose unfoldings give the
+  projectors onto ``span(v_i : i in I)``; pairs of them give V, and a
+  product that is no wedge hands over.  Only ``compound(U[:, :k+1], k)``
+  is built, never a ``binom(r, k)``-wide compound.
+* ``frames``, rung 2 (:func:`_core_right`): V is the top r of the
+  contraction of ``R diag(sqrt(s))``, and ``compound(U, k)^T M
+  compound(V, k)`` must be diagonal.
+* ``singular_values``: sigma from the log-magnitudes of the r design
+  products (rung 1, an r x r system solved exactly) or of that diagonal
+  (rung 2, the subset-incidence least squares), and the column flips of V
+  from their signs through a parity system over GF(2).  Every system is
   solved with factorizations cached per ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
@@ -73,14 +79,15 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .combinat import _signed_unfolding_index, binom, incidence_matrix
+from .combinat import (
+    _signed_unfolding_index, _signed_wedge_index, _tuple_array, binom, incidence_matrix,
+)
 from .errors import (
     CompoundKitError,
     DecompositionFailedError,
@@ -166,9 +173,13 @@ class RecoveryReport:
     ``inferred_r`` is the rank of the recovered matrix (for the rank-one and
     zero families it reports k, the family grade).  ``route`` names the path
     that produced the answer: ``contraction`` (rung 1), ``svd`` (rung 2),
-    ``rank-one`` or ``zero``.  ``stage_timings`` maps stage names to
-    seconds, summed over the times a stage is entered; when rung 1 hands
-    over, its whole time is ``contraction_attempt``.
+    ``rank-one`` or ``zero``.  ``singular_value_residual`` is the residual of
+    rung 2's log-linear least squares over all binom(r, k) products; on
+    route ``contraction`` it reads 0.0, because rung 1 solves a square
+    system of r products exactly (the answer is still verified).
+    ``stage_timings`` maps stage names to seconds, summed over the times a
+    stage is entered; when rung 1 hands over, its whole time is
+    ``contraction_attempt``.
     """
 
     route: str = ""
@@ -186,14 +197,21 @@ class RecoveryResult:
     report: RecoveryReport
 
 
-@contextmanager
-def _stage(report: RecoveryReport, name: str):
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        report.stage_timings[name] = report.stage_timings.get(name, 0.0) + elapsed
+class _stage:
+    """Context manager that adds its wall time to ``report.stage_timings[name]``."""
+
+    __slots__ = ("report", "name", "start")
+
+    def __init__(self, report: RecoveryReport, name: str):
+        self.report, self.name = report, name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        elapsed = time.perf_counter() - self.start
+        timings = self.report.stage_timings
+        timings[self.name] = timings.get(self.name, 0.0) + elapsed
 
 
 def infer_base_rank(rank_m: int, k: int) -> int:
@@ -347,18 +365,19 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     ``e_k(g)``: E has k equal singular values, and its top k left singular
     vectors are some orthonormal basis of span(U), not U itself.
 
-    The two rungs of :func:`inverse_compound` differ only in the F they
-    contract, on each side; every stage after that is shared
-    (:func:`_recover`).  Rung 1 contracts M itself,
+    The two rungs of :func:`inverse_compound` differ in the F they contract
+    on the left.  Rung 1 contracts M itself,
     ``F F^T = M M^T = compound(A A^T, k)``, so ``g = sigma^2``; it needs no
-    SVD of M, and the right side contracts the narrow
-    ``M^T compound(U, k) = compound(V Sigma, k)``, with the same g.  Rung 2
-    contracts ``F = L diag(sqrt(s))`` from the SVD ``M = L diag(s) R^T``,
-    and ``R diag(sqrt(s))`` on the right, so ``F F^T = compound(U Sigma U^T, k)``
-    and ``g = sigma``.  The gaps between the lam then grow with the other
-    singular values rather than with their squares, which is what still
-    separates the frames of ill-conditioned sources whose squared gaps fall
-    below ``gap_rtol``; that is why rung 2 keeps the ``sqrt(s)`` weight.
+    SVD of M.  Its right side contracts no whole F: each of its r design
+    products ``M^T c_I(U)`` is one wedge, whose unfolding is the case r = k
+    above, k equal singular values whose frame spans the wedge's factors
+    (:func:`_design_right`).  Rung 2 contracts ``F = L diag(sqrt(s))`` from
+    the SVD ``M = L diag(s) R^T``, and ``R diag(sqrt(s))`` on the right, so
+    ``F F^T = compound(U Sigma U^T, k)`` and ``g = sigma``.  The gaps
+    between the lam then grow with the other singular values rather than
+    with their squares, which is what still separates the frames of
+    ill-conditioned sources whose squared gaps fall below ``gap_rtol``; that
+    is why rung 2 keeps the ``sqrt(s)`` weight.
 
     E's singular values come from the triangular factor of a QR of ``E^T``:
     the conditioning is that of E, not of ``E E^T``, and E's right singular
@@ -447,7 +466,7 @@ class _IncidenceSolver(NamedTuple):
     def parity_solution(self, b: np.ndarray) -> np.ndarray:
         """The GF(2) solution of ``L x = b``; raises when b is inconsistent."""
         x = (self.parity @ b) & 1
-        if not np.array_equal((self.L @ x) % 2, b):
+        if ((self.L @ x) % 2 != b).any():
             raise SignAdjustmentFailedError("column sign parity system has no solution")
         return x
 
@@ -455,12 +474,71 @@ class _IncidenceSolver(NamedTuple):
 @lru_cache(maxsize=None)
 def _incidence_solver(r: int, k: int) -> _IncidenceSolver:
     """The incidence solvers for ``(r, k)``, built once per process."""
-    entries = incidence_matrix(r, k).entries
+    return _solver(incidence_matrix(r, k).entries)
+
+
+def _solver(entries: np.ndarray) -> _IncidenceSolver:
+    """The read-only solvers of the 0/1 system ``entries``."""
     L = entries.astype(float)
     solver = _IncidenceSolver(L=L, pinv=np.linalg.pinv(L), parity=gf2_solver(entries))
     for array in solver:
         array.setflags(write=False)
     return solver
+
+
+class _Design(NamedTuple):
+    """The r index sets of rung 1's right side for one ``(r, k)`` (:func:`_design_right`).
+
+    ``sets`` (r x k) lists them in order: the k-subsets of ``{0..k}`` in lex
+    order, that is ``{0..k}`` without k, k-1, ..., 0, then ``{0..k-2, i}``
+    for ``k < i < r``.  ``pairs`` (2 x r) names two of them for each i, and
+    i is the one element of ``sets[pairs[0, i]]`` that is not in
+    ``sets[pairs[1, i]]``: for i < k the pair is ``({0..k-1}, {0..k} - {i})``,
+    for i >= k it is ``({0..k-2, i}, {0..k-1})``.
+    ``solver`` solves the r x r incidence of the sets, which is invertible
+    over the reals and, over GF(2), has rank r at odd k and r - 1 at even k
+    (the global sign).
+    """
+
+    sets: np.ndarray
+    pairs: np.ndarray
+    solver: _IncidenceSolver
+
+
+@lru_cache(maxsize=None)
+def _design(r: int, k: int) -> _Design:
+    """The design of :class:`_Design` for ``k < r``, built once per process."""
+    head = [[j for j in range(k + 1) if j != k - t] for t in range(k + 1)]
+    tail = [list(range(k - 1)) + [i] for i in range(k + 1, r)]
+    sets = np.array(head + tail, dtype=np.intp)
+    entries = np.zeros((r, r), dtype=np.uint8)
+    np.put_along_axis(entries, sets, 1, axis=1)
+    i = np.arange(r)
+    pairs = np.stack((np.where(i < k, 0, np.where(i == k, 1, i)), np.where(i < k, k - i, 0)))
+    return _Design(sets=sets, pairs=pairs, solver=_solver(entries))
+
+
+def _design_wedges(U: np.ndarray, k: int, r: int) -> np.ndarray:
+    """The wedges ``c_I(U)`` of the r sets of :func:`_design`, as columns.
+
+    U has orthonormal columns.  The sets inside ``{0..k}`` are the k + 1
+    columns of ``compound(U[:, :k+1], k)``.  The others are
+    ``c_{{0..k-2, i}}(U) = w ^ u_i`` with ``w = u_0 ^ ... ^ u_{k-2}``.  The
+    contraction of ``c_{{0..k-1}} = w ^ u_{k-1}`` along the unit
+    ``u_{k-1}``, which is orthogonal to w's factors, is
+    ``w' = (-1)^(k-1) w`` (the signed unfolding of
+    :func:`_signed_unfolding_index`), and ``u ^ w' = w ^ u``.  So one matrix,
+    gathered from w' by :func:`_signed_wedge_index`, maps every ``u_i`` to
+    its wedge.
+    """
+    head = compound(U[:, : k + 1], k)
+    if r == k + 1:
+        return head
+    n = U.shape[0]
+    first = head[:, 0]
+    w = np.concatenate((first, -first, [0.0]))[_signed_unfolding_index(n, k)].T @ U[:, k - 1]
+    wedge = np.concatenate((w, -w, [0.0]))[_signed_wedge_index(n, k)]
+    return np.hstack((head, wedge @ U[:, k + 1 : r]))
 
 
 def _as_compound(M, n: int, m: int, k: int) -> np.ndarray:
@@ -596,7 +674,7 @@ def _contract(
     # one draw makes a repeated spectrum generic; a gap still too small
     # after it is structural (ill-conditioning), and the sqrt(s) weight of
     # the SVD route separates it better than more draws would
-    return _recover(M, unit, scale, first, draw, 1, n, m, k, r, policy, report)
+    return _recover(M, unit, scale, first, draw, 1, _design_right, n, m, k, r, policy, report)
 
 
 def _svd_rung(
@@ -626,25 +704,23 @@ def _svd_rung(
         draw = _weighted_draw(n, k, r, policy)
         # the rank cutoff is relative, so the scaled SVD keeps the same rank
         first = draw(unit, ReducedSvd(svd.left, svd.sigma / scale, svd.right))
-    return _recover(M, unit, scale, first, draw, policy.max_resample, n, m, k, r, policy, report)
+    return _recover(
+        M, unit, scale, first, draw, policy.max_resample, _core_right, n, m, k, r, policy, report
+    )
 
 
 def _recover(
-    M: np.ndarray, unit: np.ndarray, scale: float, first: tuple, draw, draws: int,
+    M: np.ndarray, unit: np.ndarray, scale: float, first: tuple, draw, draws: int, right_side,
     n: int, m: int, k: int, r: int, policy: TolerancePolicy, report: RecoveryReport,
 ) -> UniqueUpToSign:
     """The stages after the rank, shared by both rungs: the verified answer.
 
     ``unit`` is M divided by ``scale`` and ``first`` is ``draw``'s
     ``(U, values, right)`` for it.  :func:`_resample` separates the r
-    values with up to ``draws`` draws.  The right frame V is the top r of
-    the contraction of ``right``, or, when ``right`` is None (rung 1), of
-    the narrow ``F = M_tilde^T compound(U, k) = compound(V Sigma, k)`` up
-    to column signs.  The core ``F^T compound(V, k) = compound(U, k)^T
-    M_tilde compound(V, k)`` must be diagonal to within ``residual_rtol *
-    |M_tilde|``, or :class:`DecompositionFailedError` is raised.  Its
-    diagonal d gives sigma and the column flips of V, A is composed from
-    them (undoing the draw Q and the scale), and :func:`_verify` checks A
+    values with up to ``draws`` draws.  The rung's ``right_side``
+    (:func:`_design_right` or :func:`_core_right`) then gives the right
+    frame V, sigma and the column flips of V; A is composed from them
+    (undoing the draw Q and the scale), and :func:`_verify` checks A
     against M.
     """
     with _stage(report, "preprocess"):
@@ -652,9 +728,31 @@ def _recover(
     report.inferred_r = r
     report.preprocessing_used = resamples > 0
     report.resample_count = resamples
+    V, sigma, flips = right_side(M_tilde, U, right, m, k, r, policy, report)
+    with _stage(report, "compose"):
+        A = U @ (np.where(flips, -sigma, sigma)[:, None] * V.T)
+        if resamples:
+            A = np.linalg.solve(Q, A)
+        A *= scale ** (1.0 / k)
+    _verify(A, M, k, policy, report)
+    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
+
+
+def _core_right(
+    M_tilde: np.ndarray, U: np.ndarray, right: np.ndarray, m: int, k: int, r: int,
+    policy: TolerancePolicy, report: RecoveryReport,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rung 2's right side: V, sigma and the flips from the full core.
+
+    V is the top r of the contraction of ``right``, up to column signs.  The
+    core ``compound(U, k)^T M_tilde compound(V, k)`` must be diagonal to
+    within ``residual_rtol * |M_tilde|``, or
+    :class:`DecompositionFailedError` is raised; its diagonal d gives sigma
+    through the log-linear solve and the flips through the parity system.
+    """
     with _stage(report, "frames"):
         F = M_tilde.T @ compound(U, k)
-        V = _contraction_frame(F if right is None else right, m, k)[0][:, :r]
+        V = _contraction_frame(right, m, k)[0][:, :r]
         core = F.T @ compound(V, k)
         d = np.diag(core).copy()
         off_diagonal = float(np.linalg.norm(core - np.diag(d)))
@@ -667,13 +765,91 @@ def _recover(
     with _stage(report, "singular_values"):
         sigma, report.singular_value_residual = _log_linear_solve(np.abs(d), r, k, policy)
         flips = _incidence_solver(r, k).parity_solution((d < 0).astype(np.uint8))
-    with _stage(report, "compose"):
-        A = U @ (sigma[:, None] * np.where(flips.astype(bool), -V, V).T)
-        if resamples:
-            A = np.linalg.solve(Q, A)
-        A *= scale ** (1.0 / k)
-    _verify(A, M, k, policy, report)
-    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
+    return V, sigma, flips
+
+
+def _design_right(
+    M_tilde: np.ndarray, U: np.ndarray, right: None, m: int, k: int, r: int,
+    policy: TolerancePolicy, report: RecoveryReport,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rung 1's right side: V, sigma and the flips from the r design products.
+
+    For each set I of :func:`_design`, ``f_I = M_tilde^T c_I(U)`` is the
+    wedge of the ``w_i = A_tilde^T u_i`` over I, with A_tilde the source of
+    ``M_tilde``; for exact singular vectors ``w_i = +-sigma_i v_i`` and
+    ``|f_I| = prod_I sigma``.  The signed (k-1)-unfolding ``E_I`` of
+    ``f_I / |f_I|`` has k equal singular values (:func:`_contraction_frame`
+    at r = k), so ``P_I = E_I E_I^T`` is the orthogonal projector onto
+    ``span(w_i : i in I)``; one batched product gives all r.
+
+    The gate: ``E_I - P_I E_I`` vanishes for a wedge, and its norm grows
+    linearly with the distance of ``f_I / |f_I|`` from one (the eigenvalues
+    of ``P_I`` miss 0 and 1 only quadratically, so ``|P_I^2 - P_I|`` would
+    not see a perturbation of 1e-6).  When ``|f_I| |E_I - P_I E_I|``
+    exceeds ``residual_rtol * |M_tilde|`` for some I, the input is no
+    compound, and :class:`DecompositionFailedError` is raised before
+    anything is composed.
+
+    For each design pair with ``outer - inner = {i}``, the range of
+    ``P_outer (I - P_inner)`` is the direction of ``span(outer)`` orthogonal
+    to ``span(outer & inner)``, and its column of largest diagonal entry is
+    taken.  For ``i >= k`` that is v_i; the part of ``w_i`` it drops lies
+    along the ``w_j`` of larger sigma.  For ``i < k`` the k directions are
+    the dual basis of ``w_0 .. w_{k-1}`` in ``span({0..k-1})``, and V takes
+    the primal basis ``C (C^T C)^-1``.  The two differ only where U's
+    columns are turned within their span, which the squared contraction
+    allows when two of its values nearly meet.  ``w_i`` turns with ``u_i``,
+    and so does the primal basis.  The complement of a ``w_j`` of smaller
+    sigma turns by ``sigma_i / sigma_j`` times more.
+
+    ``log |f_I| = sum_I log sigma`` is a square system with the design's
+    incidence, solved exactly, so there is no log-linear residual.  The sign
+    of ``f_I`` against ``c_I(V)``, read at ``f_I``'s largest entry S as
+    ``sign f_I[S] * sign det V[S, I]``, is the parity of the flips over I,
+    solved over GF(2).
+    """
+    design = _design(r, k)
+    with _stage(report, "frames"):
+        f = M_tilde.T @ _design_wedges(U, k, r)
+        norms = np.sqrt((f * f).sum(axis=0))
+        if not norms.all():
+            raise DecompositionFailedError("a design product of M is zero")
+        unit = (f / norms).T
+        signed = np.concatenate((unit, -unit, np.zeros((r, 1))), axis=1)
+        E = signed[:, _signed_unfolding_index(m, k)]
+        P = E @ E.transpose(0, 2, 1)
+        outside = E - P @ E
+        defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))
+        limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
+        worst = float(defect.max())
+        if not worst <= limit:
+            raise DecompositionFailedError(
+                f"a design product lies {worst:.3e} from a wedge, more than "
+                f"{policy.residual_rtol:.1e} * |M| = {limit:.3e}"
+            )
+        outer, inner = P[design.pairs]
+        rank_one = outer - outer @ inner
+        peak = np.diagonal(rank_one, axis1=1, axis2=2).argmax(axis=1)
+        columns = np.arange(r)
+        V = rank_one[columns, :, peak].T
+        # for i < k the pairs give the dual basis of the w_i in span(f_I0);
+        # the primal basis stays along each w_i when U's columns are rotated
+        dual = V[:, :k]
+        try:
+            V[:, :k] = np.linalg.solve(dual.T @ dual, dual.T).T
+        except np.linalg.LinAlgError as err:
+            raise DecompositionFailedError("two design products span the same directions") from err
+        lengths = np.sqrt((V * V).sum(axis=0))
+        if not lengths.all():
+            raise DecompositionFailedError("two design products span the same directions")
+        V /= lengths
+    with _stage(report, "singular_values"):
+        sigma = np.exp(design.solver.pinv @ np.log(norms))
+        rows = np.abs(f).argmax(axis=0)
+        minors = V[_tuple_array(m, k)[rows][:, :, None], design.sets[:, None, :]]
+        negative = f[rows, columns] * np.linalg.det(minors) < 0
+        flips = design.solver.parity_solution(negative.astype(np.uint8))
+    return V, sigma, flips
 
 
 def _verify(

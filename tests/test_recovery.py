@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from compound_kit import (
     CompoundKitError,
+    DecompositionFailedError,
     InconsistentCompoundValuesError,
     InvalidArgumentError,
     NotCompoundDecomposableError,
@@ -67,18 +68,33 @@ def test_infer_base_rank_binomials():
     assert infer_base_rank(1, 2) == 2
 
 
+def _graded_4x4_k2():
+    # an exact compound whose smallest singular values, products of two
+    # source values down to 1e-16, fall below the SVD rank cutoff: the count
+    # 5 is no binomial, and "not a k-compound" would be a false certificate
+    A = random_rank_r(4, 4, 4, seed=0, spectrum=1e8 ** (-np.arange(4) / 3))
+    return A, compound(A, 2)
+
+
+def test_graded_compound_is_not_certified_as_a_non_compound():
+    # rung 1 reads r from its contraction and answers from the r design
+    # products, so the SVD rank count is never consulted
+    A, M = _graded_4x4_k2()
+    result = inverse_compound(M, 4, 4, 2)
+    assert result.report.route == "contraction"
+    assert sign_error(result.outcome.A, A) <= 1e-12 * 1e8
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 5: rung 2 reads r from a binomial count of the SVD rank, whose "
     "cutoff drops the smallest compound singular values of a graded source",
 )
-def test_graded_compound_is_not_certified_as_a_non_compound():
-    # an exact compound whose smallest singular values, products of two
-    # source values down to 1e-16, fall below the SVD rank cutoff: the count
-    # 5 is no binomial, and "not a k-compound" would be a false certificate
-    A = random_rank_r(4, 4, 4, seed=0, spectrum=1e8 ** (-np.arange(4) / 3))
+def test_graded_compound_is_not_certified_as_a_non_compound_by_the_svd_rung(monkeypatch):
+    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _, M = _graded_4x4_k2()
     try:
-        inverse_compound(compound(A, 2), 4, 4, 2)
+        inverse_compound(M, 4, 4, 2)
     except CompoundKitError as err:
         assert err.tag != NotCompoundDecomposableError.tag, str(err)
 
@@ -883,6 +899,8 @@ def test_incidence_built_once_per_rank_and_grade(monkeypatch):
         return incidence_matrix(r, k)
 
     monkeypatch.setattr(recovery, "incidence_matrix", counting)
+    # rung 1 solves its r x r design instead, so rung 2 answers alone here
+    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
     recovery._incidence_solver.cache_clear()
     for seed in (73, 74):
         A = random_rank_r(7, 6, 5, seed=seed)
@@ -1117,6 +1135,106 @@ def test_ill_conditioned_sources_take_the_svd_rung(cond, n, m, r, monkeypatch):
     assert first.report.route == second.report.route == "svd"
     assert "contraction_attempt" in first.report.stage_timings
     assert np.array_equal(first.outcome.A, second.outcome.A)
+
+
+# --- rung 1's right side: the r design products ---
+
+
+@pytest.mark.parametrize(
+    "n,r,k", [(4, 4, 1), (5, 4, 2), (6, 6, 3), (7, 5, 3), (7, 7, 5), (8, 6, 2), (6, 6, 5)]
+)
+def test_design_wedges_are_the_minors_of_the_design_columns(n, r, k):
+    U = np.linalg.qr(np.random.default_rng([n, r, k]).standard_normal((n, r)))[0]
+    design = recovery._design(r, k)
+    # {0..k-1}, its k faces with k in lex order, then {0..k-2, i} for k < i < r
+    sets = [tuple(sorted(set(range(k + 1)) - {j})) for j in range(k, -1, -1)]
+    sets += [tuple(range(k - 1)) + (i,) for i in range(k + 1, r)]
+    assert [tuple(int(x) for x in row) for row in design.sets] == sets
+    for i, (outer, inner) in enumerate(design.pairs.T):
+        assert set(sets[outer]) - set(sets[inner]) == {i}
+    want = np.array(
+        [[np.linalg.det(U[np.ix_(T, S)]) for S in sets] for T in combinations(range(n), k)]
+    )
+    assert_allclose(recovery._design_wedges(U, k, r), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_design_right_side_reproduces_the_source(r):
+    # square, r < min(n, m), and m > n, every k < r: the exact left frame
+    # with arbitrary column signs gives V up to sign, sigma, and the flips
+    # that carry U's signs over to V; inverse_compound answers the same
+    # sources, contracting M^T where m > n
+    policy = TolerancePolicy()
+    for k in range(1, r):
+        for n, m in [(r, r), (r + 2, r + 1), (r + 1, r + 3)]:
+            rng = np.random.default_rng([r, k, n, m])
+            A = random_rank_r(n, m, r, seed=int(rng.integers(2**31)))
+            U, sigma, Vt = np.linalg.svd(A)
+            U = U[:, :r] * rng.choice([-1.0, 1.0], size=r)
+            report = recovery.RecoveryReport()
+            M = compound(A, k)
+            V, got, flips = recovery._design_right(M, U, None, m, k, r, policy, report)
+            assert_allclose(got, sigma[:r], rtol=1e-12)
+            assert_allclose(np.abs(np.sum(V * Vt[:r].T, axis=0)), 1.0, rtol=0, atol=1e-12)
+            A_hat = U @ (np.where(flips, -got, got)[:, None] * V.T)
+            assert sign_error(A_hat, A) <= 1e-12
+            if k % 2:
+                assert np.linalg.norm(A_hat - A) <= 1e-12 * np.linalg.norm(A)
+            result = inverse_compound(M, n, m, k, policy)
+            assert result.report.route == "contraction"
+            assert result.report.singular_value_residual == 0.0
+            assert sign_error(result.outcome.A, A) <= 1e-12
+
+
+@pytest.mark.parametrize("n,m,cond", [(3, 5, 3e5), (4, 4, 1e5)])
+def test_design_follows_a_rotated_left_frame(n, m, cond):
+    # r = 3, k = 2: the contraction values of u_0 and u_1 differ by about
+    # sigma_2^2, so the left frame turns them within their span by about
+    # eps (sigma_1 / sigma_2)^2.  V's first columns must turn with them (the
+    # primal basis); the complements alone are off by sigma_0 / sigma_1 more,
+    # 1e-8 to 1e-7 on these sources
+    for seed in range(6):
+        A = random_rank_r(n, m, 3, seed=seed, spectrum=cond ** (-np.arange(3) / 2))
+        result = inverse_compound(compound(A, 2), n, m, 2)
+        assert result.report.route == "contraction"
+        assert sign_error(result.outcome.A, A) <= 1e-9
+
+
+def test_design_gate_refuses_non_compounds_before_composing():
+    # inputs whose contraction rank passes: a perturbed compound, a Gaussian
+    # M and a rank-2 M; the design products are no wedges, so rung 1 hands
+    # over from the frames stage, without composing or verifying
+    rng = np.random.default_rng(127)
+    exact = compound(rng.standard_normal((5, 5)), 2)
+    noise = rng.standard_normal(exact.shape)
+    for M in (
+        exact + 1e-6 * np.linalg.norm(exact) / np.linalg.norm(noise) * noise,
+        rng.standard_normal((10, 10)),
+        rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10)),
+    ):
+        report = recovery.RecoveryReport()
+        with pytest.raises(DecompositionFailedError, match="from a wedge"):
+            recovery._contract(M, 5, 5, 2, TolerancePolicy(), report)
+        assert sorted(report.stage_timings) == ["frames", "preprocess"]
+
+
+def test_rung_one_compounds_only_narrow_frames(monkeypatch):
+    # at 10 x 10, k = 5 the design needs compound(U[:, :6], 5); the one wide
+    # compound is verify's, of the 10 x 10 candidate
+    shapes = []
+
+    def recording(X, k):
+        shapes.append(np.shape(X))
+        return compound(X, k)
+
+    monkeypatch.setattr(recovery, "compound", recording)
+    A = np.random.default_rng(113).standard_normal((10, 10))
+    result = inverse_compound(compound(A, 5), 10, 10, 5)
+    assert (result.report.route, result.report.resample_count) == ("contraction", 0)
+    assert np.linalg.norm(result.outcome.A - A) <= 1e-12 * np.linalg.norm(A)
+    wide = [shape for shape in shapes if shape[1] > 6]
+    assert wide == [(10, 10)]
+    assert len(shapes) == 2
 
 
 def _pipeline_batch():

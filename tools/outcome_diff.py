@@ -22,7 +22,10 @@ alone.
 For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 ``resample_count``, the stage names and the bytes of the answer are
 compared, and the count of differing inputs is printed per field, with the
-first few differing inputs.  The exit status is 1 when any field differs.
+first few differing inputs.  Every input whose outcome is ``untagged:*`` in
+either tree is printed too, however many there are, with its kind, shape,
+k, ``rank_rtol`` and the exception's message.  The exit status is 1 when any
+field differs.
 
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
@@ -145,7 +148,7 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
-        record = dict.fromkeys(FIELDS + ("error",))
+        record = dict.fromkeys(FIELDS + ("error", "message"))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -153,7 +156,9 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
         except ck.CompoundKitError as err:
             record.update(outcome="refused", tag=err.tag)
         except Exception as err:  # a warning turned error, or an untagged failure
-            record.update(outcome="refused", tag=f"untagged:{type(err).__name__}")
+            record.update(
+                outcome="refused", tag=f"untagged:{type(err).__name__}", message=str(err)
+            )
         else:
             outcome, report = result.outcome, result.report
             if isinstance(outcome, ck.UniqueUpToSign):
@@ -246,6 +251,16 @@ def main() -> int:
         kind, _, n, m, k, rank_rtol, _ = inputs[i]
         fields = {name: (old[i][name], new[i][name]) for name in FIELDS if old[i][name] != new[i][name]}
         print(f"  input {i}: {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: {fields}")
+    untagged = [
+        (i, label, record) for i in range(len(inputs))
+        for label, record in (("old", old[i]), ("new", new[i]))
+        if (record["tag"] or "").startswith("untagged:")
+    ]
+    print(f"untagged outcomes ({len(untagged)}):")
+    for i, label, record in untagged:
+        kind, _, n, m, k, rank_rtol, _ = inputs[i]
+        print(f"  input {i} ({label}): {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: "
+              f"{record['tag']}: {record['message']}")
     return 1 if differing else 0
 
 
