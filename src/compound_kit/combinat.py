@@ -5,8 +5,14 @@ increasing k-tuples over ``1..n`` in lexicographic order.  This module owns
 that indexing: enumeration, closed-form rank/unrank, the 0/1 incidence
 matrix between k-subsets and singletons used by the singular-value solver,
 and the cached index tables that the compound kernel, the wedge matrices
-and the signed contraction read.  The public tuples are 1-based; the cached
+and the signed contractions read.  The public tuples are 1-based; the cached
 tables are 0-based, over ``range(n)``.
+
+The signed maps between k- and (k-1)-vectors, the (k-1)-contraction
+``(a, S) -> S + {a}`` and its transpose, the wedge map ``(T, a) -> T - {a}``,
+are built together by :func:`_signed_maps`.  Both are read through
+:func:`_signed_take`, the one place that stacks ``[x; -x; 0]`` and gathers
+from it.
 
 The cached tables are shared by every caller but stay writeable, because
 ``np.take`` copies a read-only (or strided) index array on every call.
@@ -203,42 +209,41 @@ def _face_ranks(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _signed_unfolding_index(n: int, k: int) -> np.ndarray:
-    """The signed map (a, S) -> S + {a}, as a gather index into ``[F; -F; 0]``.
+def _signed_maps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The signed contraction and wedge maps between k- and (k-1)-vectors over range(n).
 
-    Shape (n, binom(n, k-1)), indexed by an element ``a`` of range(n) and the
-    lex rank of a (k-1)-tuple ``S``.  For F with ``total = binom(n, k)``
-    rows, ``concatenate((F, -F, zeros))`` taken at ``index[a, S]`` is the row
-    ``(-1)^#{x in S : x < a} F[S + {a}]``, the sign of moving ``a`` to the
-    front of that tuple, and 0 where ``a`` is in S.  So the entry is the
-    rank of ``S + {a}``, plus ``total`` when ``a`` sits at an odd position of
-    it, and ``2 * total`` where ``a`` is in S.
+    Both are gather indices for :func:`_signed_take`, built in one pass over
+    the positions p of the k-tuples T, whose entry ``a = T[p]`` leaves the
+    face ``S = T - {a}`` with the sign ``(-1)^p`` of moving ``a`` to the
+    front of T.  An entry is the rank of the target tuple, plus the length
+    ``total`` of the gathered table at odd p, and ``2 * total`` (the zero)
+    where the pair does not occur.
+
+    * ``unfolding``, shape (n, binom(n, k-1)), indexed by ``a`` and the rank
+      of S: the signed (k-1)-contraction ``(a, S) -> S + {a}``; gathered
+      from F with ``binom(n, k)`` rows it is ``(-1)^p F[S + {a}]``, and 0
+      where ``a`` is in S.
+    * ``wedge``, shape (binom(n, k), n), indexed by the rank of T and ``a``:
+      ``(T, a) -> T - {a}``; gathered from a (k-1)-vector z it is the matrix
+      of ``x -> x ^ z``, ``(-1)^p z[T - {a}]``, and 0 where ``a`` is not in
+      T.  It is the transpose map of ``unfolding``.
     """
     tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
-    total = tuples.shape[0]
-    index = np.full((n, binom(n, k - 1)), 2 * total, dtype=np.intp)
+    total, below = tuples.shape[0], binom(n, k - 1)
+    unfolding = np.full((n, below), 2 * total, dtype=np.intp)
+    wedge = np.full((total, n), 2 * below, dtype=np.intp)
+    ranks = np.arange(total)
     for p in range(k):
-        index[tuples[:, p], faces[p]] = np.arange(total) + total * (p % 2)
-    return index
+        unfolding[tuples[:, p], faces[p]] = ranks + total * (p % 2)
+        wedge[ranks, tuples[:, p]] = faces[p] + below * (p % 2)
+    return unfolding, wedge
 
 
-@lru_cache(maxsize=None)
-def _signed_wedge_index(n: int, k: int) -> np.ndarray:
-    """The signed map (T, a) -> T - {a}, as a gather index into ``[z; -z; 0]``.
+def _signed_take(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``[x; -x; 0]``, stacked along x's first axis, gathered at a :func:`_signed_maps` index.
 
-    Shape (binom(n, k), n), indexed by the lex rank of a k-tuple ``T`` over
-    range(n) and an element ``a``.  For z with ``total = binom(n, k-1)``
-    entries, ``concatenate((z, -z, [0]))`` taken at ``index[T, a]`` is
-    ``(-1)^p z[T - {a}]`` where ``a = T[p]``, and 0 where ``a`` is not in T:
-    the matrix that maps x to the coordinates of the wedge ``x ^ z``.  So
-    the entry is the rank of ``T - {a}``, plus ``total`` when ``a`` sits at
-    an odd position of T, and ``2 * total`` where ``a`` is not in T.  It is
-    the transpose map of :func:`_signed_unfolding_index`.
+    The one signed gather of the package; the result has shape
+    ``index.shape + x.shape[1:]``.
     """
-    tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
-    total = binom(n, k - 1)
-    index = np.full((tuples.shape[0], n), 2 * total, dtype=np.intp)
-    rows = np.arange(tuples.shape[0])
-    for p in range(k):
-        index[rows, tuples[:, p]] = faces[p] + total * (p % 2)
-    return index
+    signed = np.concatenate((x, -x, np.zeros((1,) + x.shape[1:])))
+    return signed.take(index, axis=0)

@@ -85,9 +85,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .combinat import (
-    _signed_unfolding_index, _signed_wedge_index, _tuple_array, binom, incidence_matrix,
-)
+from .combinat import _signed_maps, _signed_take, _tuple_array, binom, incidence_matrix
 from .errors import (
     CompoundKitError,
     DecompositionFailedError,
@@ -354,8 +352,8 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
 
     F has binom(n, k) rows.  Its rows are unfolded into the n-row matrix
     ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S, with
-    the sign and the rank of ``S + {a}`` read from the one signed index of
-    :func:`compound_kit.combinat._signed_unfolding_index`.  For
+    the sign and the rank of ``S + {a}`` read from the unfolding map of
+    :func:`compound_kit.combinat._signed_maps`.  For
     ``F F^T = compound(G, k)`` with ``G = U diag(g) U^T`` this gives
     ``E E^T = U diag(lam) U^T`` with ``lam_i = g_i e_{k-1}(g_j : j != i)``,
     and ``lam_i - lam_j = (g_i - g_j) e_{k-1}(the other g)``.  So for a
@@ -383,8 +381,9 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     the conditioning is that of E, not of ``E E^T``, and E's right singular
     vectors are never formed.  ``E^T`` is tall (52,920 x 10 at n = 10,
     k = 5), so it is never held whole.  It is built from blocks of F's
-    columns, about ``_QR_BLOCK_ROWS`` rows at a time, each by one gather
-    of that index, which also applies the signs.  The
+    columns, about ``_QR_BLOCK_ROWS`` rows at a time, each by one
+    :func:`compound_kit.combinat._signed_take` of that map, which also
+    applies the signs.  The
     triangular factors of the blocks are stacked and factored once more,
     the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
     Comput., 2012).  Every step is orthogonal and the row order does not
@@ -395,15 +394,13 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     Returns all left singular vectors of E as columns (n x q) and its q
     singular values in decreasing order, q = min(n, rows of E^T).
     """
-    index = _signed_unfolding_index(n, k)
+    index = _signed_maps(n, k)[0]
     width = max(1, _QR_BLOCK_ROWS // index.shape[1])
     blocks = []
     for start in range(0, F.shape[1], width):
-        block = F[:, start : start + width]
-        signed = np.concatenate((block, -block, np.zeros((1, block.shape[1]))))
         # E's columns (S, p) for this block, held as E itself so that E^T is
         # the Fortran-ordered array LAPACK reads without a transposing copy
-        E = signed.take(index, axis=0).reshape(n, -1)
+        E = _signed_take(F[:, start : start + width], index).reshape(n, -1)
         blocks.append(np.linalg.qr(E.T, mode="r"))
     R = blocks[0] if len(blocks) == 1 else np.linalg.qr(np.vstack(blocks), mode="r")
     _, values, Wt = np.linalg.svd(R, full_matrices=False)
@@ -526,19 +523,18 @@ def _design_wedges(U: np.ndarray, k: int, r: int) -> np.ndarray:
     ``c_{{0..k-2, i}}(U) = w ^ u_i`` with ``w = u_0 ^ ... ^ u_{k-2}``.  The
     contraction of ``c_{{0..k-1}} = w ^ u_{k-1}`` along the unit
     ``u_{k-1}``, which is orthogonal to w's factors, is
-    ``w' = (-1)^(k-1) w`` (the signed unfolding of
-    :func:`_signed_unfolding_index`), and ``u ^ w' = w ^ u``.  So one matrix,
-    gathered from w' by :func:`_signed_wedge_index`, maps every ``u_i`` to
-    its wedge.
+    ``w' = (-1)^(k-1) w`` (the unfolding map of
+    :func:`compound_kit.combinat._signed_maps`), and ``u ^ w' = w ^ u``.  So
+    one matrix, the wedge map of the same call gathered from w', maps every
+    ``u_i`` to its wedge.  Both gathers are
+    :func:`compound_kit.combinat._signed_take`.
     """
     head = compound(U[:, : k + 1], k)
     if r == k + 1:
         return head
-    n = U.shape[0]
-    first = head[:, 0]
-    w = np.concatenate((first, -first, [0.0]))[_signed_unfolding_index(n, k)].T @ U[:, k - 1]
-    wedge = np.concatenate((w, -w, [0.0]))[_signed_wedge_index(n, k)]
-    return np.hstack((head, wedge @ U[:, k + 1 : r]))
+    unfolding, wedge = _signed_maps(U.shape[0], k)
+    w = _signed_take(head[:, 0], unfolding).T @ U[:, k - 1]
+    return np.hstack((head, _signed_take(w, wedge) @ U[:, k + 1 : r]))
 
 
 def _as_compound(M, n: int, m: int, k: int) -> np.ndarray:
@@ -814,9 +810,10 @@ def _design_right(
         norms = np.sqrt((f * f).sum(axis=0))
         if not norms.all():
             raise DecompositionFailedError("a design product of M is zero")
-        unit = (f / norms).T
-        signed = np.concatenate((unit, -unit, np.zeros((r, 1))), axis=1)
-        E = signed[:, _signed_unfolding_index(m, k)]
+        # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
+        # products below read these strides, and a C-ordered copy would
+        # round some of them differently
+        E = _signed_take(f / norms, _signed_maps(m, k)[0]).transpose(2, 0, 1)
         P = E @ E.transpose(0, 2, 1)
         outside = E - P @ E
         defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))
@@ -862,7 +859,7 @@ def _verify(
 ) -> None:
     """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M, or ``error`` is raised."""
     with _stage(report, "verify"):
-        residual = reconstruction_residual(candidate, M, k)
+        residual = _residual(candidate, M, k)
         report.reconstruction_residual = residual
     if not residual <= policy.residual_rtol:
         raise error(f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}")
@@ -876,8 +873,12 @@ def reconstruction_residual(A, M, k: int) -> float:
     scales of M.  A non-finite result means that the candidate's compound
     overflowed; callers test ``not residual <= rtol`` so that it fails.
     """
-    M = _as_float_matrix(M, "M")
-    peak = float(np.max(np.abs(M))) if M.size else 0.0
+    return _residual(A, _as_float_matrix(M, "M"), k)
+
+
+def _residual(A, M: np.ndarray, k: int) -> float:
+    """:func:`reconstruction_residual` of an M already checked to be a finite float matrix."""
+    peak = float(max(M.max(), -M.min())) if M.size else 0.0
     if peak == 0.0:
         return float(np.linalg.norm(compound(A, k) - M))
     diff = float(np.linalg.norm((compound(A, k) - M) / peak))
@@ -1005,7 +1006,7 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     unit = M / scale
     det = float(np.linalg.det(unit))
     B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
-    residual = reconstruction_residual(B, M, n - 1)
+    residual = _residual(B, M, n - 1)
     if not residual <= policy.residual_rtol:
         raise NotCompoundDecomposableError(
             f"closed-form reconstruction residual {residual:.3e} exceeds "

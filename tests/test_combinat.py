@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from compound_kit import (
     indexof_tuple,
     lex_tuples,
     unrank_tuple,
+    wedge_matrix,
 )
-from compound_kit.combinat import MAX_TUPLE_COUNT
+from compound_kit.combinat import MAX_TUPLE_COUNT, _signed_maps, _signed_take
 from compound_kit.testkit import indexof_by_search
 
 
@@ -128,3 +131,66 @@ def test_incidence_rows_follow_lex_tuples():
     L = incidence_matrix(5, 2)
     for row, t in zip(L.entries, lex_tuples(5, 2)):
         assert np.array_equal(np.nonzero(row)[0] + 1, np.array(t.entries))
+
+
+# --- the signed maps, against enumerations that read none of combinat's tables ---
+
+
+def _ranks(n, k):
+    return {t: i for i, t in enumerate(combinations(range(n), k))}
+
+
+def _encode(rank, sign, total):
+    """A gather index into ``[x; -x; 0]`` with x of ``total`` entries."""
+    return rank + (total if sign < 0 else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_signed_maps_match_an_enumeration_with_explicit_signs(n):
+    for k in range(1, n + 1):
+        upper, lower = _ranks(n, k), _ranks(n, k - 1)
+        # (a, S) -> S + {a}, walked from the (k-1)-tuples S
+        unfolding = np.full((n, len(lower)), 2 * len(upper))
+        for S, j in lower.items():
+            for a in set(range(n)) - set(S):
+                T = tuple(sorted(S + (a,)))
+                unfolding[a, j] = _encode(upper[T], (-1) ** T.index(a), len(upper))
+        # (T, a) -> T - {a}, walked from the k-tuples T
+        wedge = np.full((len(upper), n), 2 * len(lower))
+        for T, i in upper.items():
+            for p, a in enumerate(T):
+                wedge[i, a] = _encode(lower[T[:p] + T[p + 1 :]], (-1) ** p, len(lower))
+        got = _signed_maps(n, k)
+        for table, want in zip(got, (unfolding, wedge)):
+            assert table.dtype == np.intp
+            assert np.array_equal(table, want), (n, k)
+
+
+def test_signed_take_matches_an_explicit_loop():
+    rng = np.random.default_rng(14)
+    index = rng.integers(0, 2 * 5 + 1, size=(3, 4))
+    index[0, :3] = (4, 5, 10)  # x, -x and the zero
+    for x in (rng.standard_normal(5), rng.standard_normal((5, 2))):
+        want = np.zeros(index.shape + x.shape[1:])
+        for pos in np.ndindex(index.shape):
+            i = index[pos]
+            if i < 5:
+                want[pos] = x[i]
+            elif i < 10:
+                want[pos] = -x[i - 5]
+        assert np.array_equal(_signed_take(x, index), want)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wedge_matrix_is_the_map_x_wedge_z_entry_by_entry(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, n):
+        lower = _ranks(n, k)
+        z = rng.standard_normal(len(lower))
+        want = np.zeros((binom(n, k + 1), n))
+        # e_j ^ e_S = (-1)^#{s in S : s < j} e_{S + {j}}
+        for i, I in enumerate(combinations(range(n), k + 1)):
+            for j in I:
+                S = tuple(s for s in I if s != j)
+                want[i, j] = (-1) ** sum(s < j for s in S) * z[lower[S]]
+        assert np.array_equal(wedge_matrix(z, n, k).data, want), (n, k)

@@ -22,10 +22,12 @@ alone.
 For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 ``resample_count``, the stage names and the bytes of the answer are
 compared, and the count of differing inputs is printed per field, with the
-first few differing inputs.  Every input whose outcome is ``untagged:*`` in
-either tree is printed too, however many there are, with its kind, shape,
-k, ``rank_rtol`` and the exception's message.  The exit status is 1 when any
-field differs.
+first few differing inputs.  The inputs that differ in the answer bytes
+alone are counted per kind and per (n, k), so that a drift of rounding or
+memory layout is located without a bisect.  Every input whose outcome is
+``untagged:*`` in either tree is printed too, however many there are, with
+its kind, shape, k, ``rank_rtol`` and the exception's message.  The exit
+status is 1 when any field differs.
 
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
@@ -48,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +250,17 @@ def main() -> int:
     for name in FIELDS:
         count = sum(old[i][name] != new[i][name] for i in differing)
         print(f"  {name:16s} {count}")
+    answer_only = [
+        i for i in differing
+        if all(old[i][name] == new[i][name] for name in FIELDS if name != "answer")
+    ]
+    if answer_only:
+        kinds = Counter(inputs[i][0] for i in answer_only)
+        grades = Counter((inputs[i][2], inputs[i][4]) for i in answer_only)
+        print(f"  answer alone   {len(answer_only)}, by kind: "
+              + ", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items())))
+        print("    by (n, k): "
+              + ", ".join(f"({n}, {k}) {count}" for (n, k), count in sorted(grades.items())))
     for i in differing[:SHOW]:
         kind, _, n, m, k, rank_rtol, _ = inputs[i]
         fields = {name: (old[i][name], new[i][name]) for name in FIELDS if old[i][name] != new[i][name]}
