@@ -8,11 +8,11 @@ and the cached index tables that the compound kernel, the wedge matrices
 and the signed contractions read.  The public tuples are 1-based; the cached
 tables are 0-based, over ``range(n)``.
 
-The signed maps between k- and (k-1)-vectors, the (k-1)-contraction
-``(a, S) -> S + {a}`` and its transpose, the wedge map ``(T, a) -> T - {a}``,
-are built together by :func:`_signed_maps`.  Both are read through
-:func:`_signed_take`, the one place that stacks ``[x; -x; 0]`` and gathers
-from it.
+The signed maps between k- and (k-1)-vectors are the (k-1)-contraction
+``(a, S) -> S + {a}`` of :func:`_signed_contraction` and its transpose, the
+wedge map ``(T, a) -> T - {a}`` of :func:`_signed_wedge`, each cached on its
+own.  Both are read through :func:`_signed_take`, the one place that stacks
+``[x; -x; 0]`` and gathers from it.
 
 The cached tables are shared by every caller but stay writeable, because
 ``np.take`` copies a read-only (or strided) index array on every call.
@@ -209,38 +209,46 @@ def _face_ranks(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _signed_maps(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The signed contraction and wedge maps between k- and (k-1)-vectors over range(n).
+def _signed_contraction(n: int, k: int) -> np.ndarray:
+    """The signed (k-1)-contraction ``(a, S) -> S + {a}``, a gather index for :func:`_signed_take`.
 
-    Both are gather indices for :func:`_signed_take`, built in one pass over
-    the positions p of the k-tuples T, whose entry ``a = T[p]`` leaves the
-    face ``S = T - {a}`` with the sign ``(-1)^p`` of moving ``a`` to the
-    front of T.  An entry is the rank of the target tuple, plus the length
-    ``total`` of the gathered table at odd p, and ``2 * total`` (the zero)
-    where the pair does not occur.
-
-    * ``unfolding``, shape (n, binom(n, k-1)), indexed by ``a`` and the rank
-      of S: the signed (k-1)-contraction ``(a, S) -> S + {a}``; gathered
-      from F with ``binom(n, k)`` rows it is ``(-1)^p F[S + {a}]``, and 0
-      where ``a`` is in S.
-    * ``wedge``, shape (binom(n, k), n), indexed by the rank of T and ``a``:
-      ``(T, a) -> T - {a}``; gathered from a (k-1)-vector z it is the matrix
-      of ``x -> x ^ z``, ``(-1)^p z[T - {a}]``, and 0 where ``a`` is not in
-      T.  It is the transpose map of ``unfolding``.
+    Shape (n, binom(n, k-1)), indexed by ``a`` and the rank of a
+    (k-1)-tuple S.  Gathered from F with ``total = binom(n, k)`` rows it is
+    ``(-1)^p F[S + {a}]``, where p is the position of ``a`` in ``S + {a}``,
+    and 0 where ``a`` is in S.  So an entry is the rank of ``S + {a}``, plus
+    ``total`` at odd p, and ``2 * total`` (the zero) where ``a`` is in S.
     """
     tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
-    total, below = tuples.shape[0], binom(n, k - 1)
-    unfolding = np.full((n, below), 2 * total, dtype=np.intp)
-    wedge = np.full((total, n), 2 * below, dtype=np.intp)
-    ranks = np.arange(total)
+    total = tuples.shape[0]
+    index = np.full((n, binom(n, k - 1)), 2 * total, dtype=np.intp)
     for p in range(k):
-        unfolding[tuples[:, p], faces[p]] = ranks + total * (p % 2)
-        wedge[ranks, tuples[:, p]] = faces[p] + below * (p % 2)
-    return unfolding, wedge
+        index[tuples[:, p], faces[p]] = np.arange(total) + total * (p % 2)
+    return index
+
+
+@lru_cache(maxsize=None)
+def _signed_wedge(n: int, k: int) -> np.ndarray:
+    """The signed wedge map ``(T, a) -> T - {a}``, a gather index for :func:`_signed_take`.
+
+    Shape (binom(n, k), n), indexed by the rank of a k-tuple T and ``a``.
+    Gathered from a (k-1)-vector z with ``total = binom(n, k-1)`` entries it
+    is the matrix of ``x -> x ^ z``: ``(-1)^p z[T - {a}]`` where
+    ``a = T[p]``, and 0 where ``a`` is not in T.  So an entry is the rank of
+    ``T - {a}``, plus ``total`` at odd p, and ``2 * total`` where ``a`` is
+    not in T.  It is the transpose map of :func:`_signed_contraction`,
+    cached apart from it because it is ``(n - k + 1) / k`` times as large
+    and most callers read only the contraction.
+    """
+    tuples, faces = _tuple_array(n, k), _face_ranks(n, k)
+    total, rows = binom(n, k - 1), np.arange(tuples.shape[0])
+    index = np.full((tuples.shape[0], n), 2 * total, dtype=np.intp)
+    for p in range(k):
+        index[rows, tuples[:, p]] = faces[p] + total * (p % 2)
+    return index
 
 
 def _signed_take(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``[x; -x; 0]``, stacked along x's first axis, gathered at a :func:`_signed_maps` index.
+    """``[x; -x; 0]``, stacked along x's first axis, gathered at a signed map's index.
 
     The one signed gather of the package; the result has shape
     ``index.shape + x.shape[1:]``.

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinat import (
-    MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, _face_ranks, _lex_rank, _signed_maps, _signed_take,
+    MAX_ARRAY_ENTRIES, MAX_TUPLE_COUNT, _face_ranks, _lex_rank, _signed_take, _signed_wedge,
     _tuple_array, _tuple_columns, binom,
 )
 from .errors import DegenerateInputError, InvalidArgumentError
@@ -332,8 +332,8 @@ def wedge_matrix(z, n: int, k: int) -> WedgeMatrix:
 
     Entry rule for row I (a (k+1)-tuple) and column j: zero when j is not in
     I, otherwise the coordinate of z at I minus j, with sign alternating in
-    the position of j within I.  That is the wedge map of
-    :func:`compound_kit.combinat._signed_maps` at grade k + 1, gathered from
+    the position of j within I.  That is the wedge map
+    :func:`compound_kit.combinat._signed_wedge` at grade k + 1, gathered from
     z by :func:`compound_kit.combinat._signed_take`.
     """
     if not 1 <= k < n:
@@ -347,7 +347,7 @@ def wedge_matrix(z, n: int, k: int) -> WedgeMatrix:
         raise InvalidArgumentError("coordinate vector contains non-finite entries")
     if not np.any(z):
         raise DegenerateInputError("coordinate vector is exactly zero")
-    data = _signed_take(z, _signed_maps(n, k + 1)[1])
+    data = _signed_take(z, _signed_wedge(n, k + 1))
     return WedgeMatrix(data=data, ambient=n, grade=k)
 
 

@@ -85,7 +85,9 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .combinat import _signed_maps, _signed_take, _tuple_array, binom, incidence_matrix
+from .combinat import (
+    _signed_contraction, _signed_take, _signed_wedge, _tuple_array, binom, incidence_matrix,
+)
 from .errors import (
     CompoundKitError,
     DecompositionFailedError,
@@ -352,8 +354,8 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
 
     F has binom(n, k) rows.  Its rows are unfolded into the n-row matrix
     ``E[a, (S, p)] = eps(a, S) F[S + {a}, p]`` over the (k-1)-tuples S, with
-    the sign and the rank of ``S + {a}`` read from the unfolding map of
-    :func:`compound_kit.combinat._signed_maps`.  For
+    the sign and the rank of ``S + {a}`` read from the one signed index of
+    :func:`compound_kit.combinat._signed_contraction`.  For
     ``F F^T = compound(G, k)`` with ``G = U diag(g) U^T`` this gives
     ``E E^T = U diag(lam) U^T`` with ``lam_i = g_i e_{k-1}(g_j : j != i)``,
     and ``lam_i - lam_j = (g_i - g_j) e_{k-1}(the other g)``.  So for a
@@ -394,7 +396,7 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     Returns all left singular vectors of E as columns (n x q) and its q
     singular values in decreasing order, q = min(n, rows of E^T).
     """
-    index = _signed_maps(n, k)[0]
+    index = _signed_contraction(n, k)
     width = max(1, _QR_BLOCK_ROWS // index.shape[1])
     blocks = []
     for start in range(0, F.shape[1], width):
@@ -523,18 +525,18 @@ def _design_wedges(U: np.ndarray, k: int, r: int) -> np.ndarray:
     ``c_{{0..k-2, i}}(U) = w ^ u_i`` with ``w = u_0 ^ ... ^ u_{k-2}``.  The
     contraction of ``c_{{0..k-1}} = w ^ u_{k-1}`` along the unit
     ``u_{k-1}``, which is orthogonal to w's factors, is
-    ``w' = (-1)^(k-1) w`` (the unfolding map of
-    :func:`compound_kit.combinat._signed_maps`), and ``u ^ w' = w ^ u``.  So
-    one matrix, the wedge map of the same call gathered from w', maps every
-    ``u_i`` to its wedge.  Both gathers are
-    :func:`compound_kit.combinat._signed_take`.
+    ``w' = (-1)^(k-1) w`` (the signed unfolding of
+    :func:`compound_kit.combinat._signed_contraction`), and
+    ``u ^ w' = w ^ u``.  So one matrix, gathered from w' at
+    :func:`compound_kit.combinat._signed_wedge`, maps every ``u_i`` to its
+    wedge.  Both gathers are :func:`compound_kit.combinat._signed_take`.
     """
     head = compound(U[:, : k + 1], k)
     if r == k + 1:
         return head
-    unfolding, wedge = _signed_maps(U.shape[0], k)
-    w = _signed_take(head[:, 0], unfolding).T @ U[:, k - 1]
-    return np.hstack((head, _signed_take(w, wedge) @ U[:, k + 1 : r]))
+    n = U.shape[0]
+    w = _signed_take(head[:, 0], _signed_contraction(n, k)).T @ U[:, k - 1]
+    return np.hstack((head, _signed_take(w, _signed_wedge(n, k)) @ U[:, k + 1 : r]))
 
 
 def _as_compound(M, n: int, m: int, k: int) -> np.ndarray:
@@ -813,7 +815,7 @@ def _design_right(
         # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
         # products below read these strides, and a C-ordered copy would
         # round some of them differently
-        E = _signed_take(f / norms, _signed_maps(m, k)[0]).transpose(2, 0, 1)
+        E = _signed_take(f / norms, _signed_contraction(m, k)).transpose(2, 0, 1)
         P = E @ E.transpose(0, 2, 1)
         outside = E - P @ E
         defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))

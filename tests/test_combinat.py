@@ -13,7 +13,9 @@ from compound_kit import (
     unrank_tuple,
     wedge_matrix,
 )
-from compound_kit.combinat import MAX_TUPLE_COUNT, _signed_maps, _signed_take
+from compound_kit.combinat import (
+    MAX_TUPLE_COUNT, _signed_contraction, _signed_take, _signed_wedge,
+)
 from compound_kit.testkit import indexof_by_search
 
 
@@ -146,7 +148,7 @@ def _encode(rank, sign, total):
 
 
 @pytest.mark.parametrize("n", range(1, 10))
-def test_signed_maps_match_an_enumeration_with_explicit_signs(n):
+def test_signed_tables_match_an_enumeration_with_explicit_signs(n):
     for k in range(1, n + 1):
         upper, lower = _ranks(n, k), _ranks(n, k - 1)
         # (a, S) -> S + {a}, walked from the (k-1)-tuples S
@@ -160,7 +162,7 @@ def test_signed_maps_match_an_enumeration_with_explicit_signs(n):
         for T, i in upper.items():
             for p, a in enumerate(T):
                 wedge[i, a] = _encode(lower[T[:p] + T[p + 1 :]], (-1) ** p, len(lower))
-        got = _signed_maps(n, k)
+        got = (_signed_contraction(n, k), _signed_wedge(n, k))
         for table, want in zip(got, (unfolding, wedge)):
             assert table.dtype == np.intp
             assert np.array_equal(table, want), (n, k)

@@ -1357,6 +1357,24 @@ def test_recovery_peak_memory_stays_within_four_copies_of_M():
     assert peak <= 4 * M.nbytes
 
 
+def test_wide_k1_recovery_builds_no_table_quadratic_in_m():
+    # a 1 x m compound at k = 1 reads the m x 1 signed contraction; the
+    # wedge map at that grade, m x m, would be 200 MB here
+    import tracemalloc
+
+    m = 5000
+    M = np.random.default_rng(98).standard_normal((1, m))
+    tracemalloc.start()
+    try:
+        result = inverse_compound(M, 1, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result.outcome, RankOneFamily)
+    assert reconstruction_residual(result.outcome.representative(), M, 1) <= 1e-12
+    assert peak <= 64 * M.nbytes
+
+
 def test_k1_source_near_the_rank_cutoff_is_its_own_compound(monkeypatch):
     # every matrix is its own 1-compound.  sigma_2 / sigma_1 = 5e-10 lies
     # between the rank cutoffs of the 2-row contraction (2e-10) and of the
