@@ -14,8 +14,10 @@ the rank of M:
 Every nonzero M takes one of two rungs.  Each finds its left frame and the
 rank r from a signed (k-1)-contraction (:func:`_contraction_frame`).  They
 differ in their scale, their first contraction, their draw and their right
-side; resampling, composition and verification are shared
-(:func:`_recover`).
+side.  Each calls the shared resampling loop (:func:`_resample`), then its
+own right side, then the shared tail that composes A and verifies it
+(:func:`_compose`).  :func:`inverse_compound` runs rung 1 (:func:`_contract`)
+and hands over to rung 2 (:func:`_svd_rung`) when it refuses.
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
@@ -269,20 +271,21 @@ def preprocess_distinct(
     svd = reduced_svd(M, policy)
     if svd.rank <= 1:
         return PreprocessResult(np.eye(n), M, False, 0)
-    draw = _weighted_draw(n, k, infer_base_rank(svd.rank, k), policy)
-    Q, M_tilde, resamples, _ = _resample(M, draw(M, svd), n, k, policy, draw, policy.max_resample)
+    r = infer_base_rank(svd.rank, k)
+    Q, M_tilde, resamples, _ = _weighted_resample(M, svd, n, k, r, policy)
     return PreprocessResult(Q, M_tilde, resamples > 0, resamples)
 
 
-def _weighted_draw(n: int, k: int, r: int, policy: TolerancePolicy):
-    """The draw of rung 2 of :func:`inverse_compound` and of :func:`preprocess_distinct`.
+def _weighted_resample(
+    M: np.ndarray, svd: ReducedSvd, n: int, k: int, r: int, policy: TolerancePolicy
+):
+    """:func:`_resample` with the weighted draw, of rung 2 and of :func:`preprocess_distinct`.
 
-    ``draw(M_tilde, svd=None)`` takes the compact SVD
-    ``M_tilde = L diag(s) R^T`` (or uses ``svd``, when given) and returns
-    ``(U, values, right)``: the top r left frame and singular values of the
-    contraction of ``L diag(sqrt(s))``, and the right factor
-    ``R diag(sqrt(s))``.  It returns None when the SVD's rank is not
-    binom(r, k), a draw whose rank drifted through the cutoff.
+    ``svd`` is M's compact SVD.  A draw takes the compact SVD
+    ``M_tilde = L diag(s) R^T`` and gives ``(U, values, right)``: the top r
+    left frame and singular values of the contraction of ``L diag(sqrt(s))``,
+    and the right factor ``R diag(sqrt(s))``.  A draw whose SVD rank is not
+    binom(r, k), one whose rank drifted through the cutoff, is not usable.
     """
 
     def draw(M_tilde: np.ndarray, svd: ReducedSvd | None = None):
@@ -294,7 +297,7 @@ def _weighted_draw(n: int, k: int, r: int, policy: TolerancePolicy):
         frame, values = _contraction_frame(svd.left * weight, n, k)
         return frame[:, :r], values[:r], svd.right * weight
 
-    return draw
+    return _resample(M, draw(M, svd), n, k, policy, draw, policy.max_resample)
 
 
 def _resample(
@@ -302,14 +305,15 @@ def _resample(
 ):
     """The resampling loop of both rungs of :func:`inverse_compound`.
 
-    ``first`` is ``draw``'s ``(U, values, right)`` for M itself, with
-    ``values`` the r leading contraction singular values.  While their
-    relative gap is below ``gap_rtol``, M is replaced by
-    ``compound(Q, k) @ M`` for random n x n Q drawn from ``policy.rng()``,
-    skipping essentially singular draws, and ``draw(M_tilde)`` gives the
-    same triple for it, or None when the draw is not usable.  Rung 1 draws
-    by contracting ``M_tilde`` itself, rung 2 and
-    :func:`preprocess_distinct` by :func:`_weighted_draw`.
+    ``first`` is ``draw``'s tuple for M itself: the top r left frame U, then
+    ``values``, the r leading contraction singular values, then whatever
+    else the rung's right side reads.  While their relative gap is below
+    ``gap_rtol``, M is replaced by ``compound(Q, k) @ M`` for random n x n Q
+    drawn from ``policy.rng()``, skipping essentially singular draws, and
+    ``draw(M_tilde)`` gives the same tuple for it, or None when the draw is
+    not usable.  Rung 1 draws ``(U, values)`` by contracting ``M_tilde``
+    itself (:func:`_contract`), rung 2 and :func:`preprocess_distinct` draw
+    ``(U, values, right)`` through :func:`_weighted_resample`.
 
     Returns ``(Q, M_tilde, resamples, found)``, with Q the identity and
     ``resamples`` 0 when M needed no draw; raises
@@ -605,10 +609,12 @@ def inverse_compound(
         report.inferred_r = k
         return RecoveryResult(outcome=RankDeficientFamily(n=n, m=m, k=k), report=report)
     start = time.perf_counter()
-    outcome = _contraction_rung(M, n, m, k, policy, report)
+    try:
+        outcome = _contract(M, n, m, k, policy, report)
+    except CompoundKitError:
+        outcome = None  # every refusal of rung 1 hands over; rung 2 decides under its own tags
     if outcome is None:
-        elapsed = time.perf_counter() - start
-        report = RecoveryReport(stage_timings={"contraction_attempt": elapsed})
+        report = RecoveryReport(stage_timings={"contraction_attempt": time.perf_counter() - start})
         outcome = _svd_rung(M, n, m, k, policy, report)
     if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
         # compound(-A, k) = compound(A, k) exactly at even k, so the
@@ -617,32 +623,14 @@ def inverse_compound(
     return RecoveryResult(outcome=outcome, report=report)
 
 
-def _contraction_rung(
-    M: np.ndarray,
-    n: int,
-    m: int,
-    k: int,
-    policy: TolerancePolicy,
-    report: RecoveryReport,
-) -> UniqueUpToSign | RankOneFamily | None:
-    """Rung 1 of :func:`inverse_compound`: the verified answer, or None to hand over.
-
-    Every refusal of a check here hands the input to the SVD route, which
-    decides it under its own tags; ``report`` is then discarded.
-    """
-    try:
-        return _contract(M, n, m, k, policy, report)
-    except CompoundKitError:
-        return None
-
-
 def _contract(
     M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
 ) -> UniqueUpToSign | RankOneFamily:
-    """The verified answer from contractions of M itself, or the tagged error of a failed check.
+    """Rung 1 of :func:`inverse_compound`: the verified answer from contractions of M itself.
 
     The side with the smaller unfolding is contracted: when that is M^T =
-    compound(A^T, k), the answer for M^T is found and transposed.  A
+    compound(A^T, k), the answer for M^T is found and transposed.  Every
+    failed check raises its tagged error, which hands the input over; a
     contraction rank r outside ``k <= r <= min(n, m)`` raises
     :class:`NotCompoundDecomposableError`.
     """
@@ -657,31 +645,29 @@ def _contract(
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(M, n, m, k, policy, report, frame[:, :k])
+        return _rank_one_family(M, unit, scale, frame[:, :k], m, k, policy, report)
     if not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
 
     def draw(M_tilde: np.ndarray):
         frame, values = _contraction_frame(M_tilde, n, k)
         # a draw whose rank drifted through the cutoff is not usable
-        usable = _numerical_rank(values, n, policy) == r
-        return (frame[:, :r], values[:r], None) if usable else None
+        return (frame[:, :r], values[:r]) if _numerical_rank(values, n, policy) == r else None
 
     report.route = "contraction"
-    first = (frame[:, :r], values[:r], None)
-    # one draw makes a repeated spectrum generic; a gap still too small
-    # after it is structural (ill-conditioning), and the sqrt(s) weight of
-    # the SVD route separates it better than more draws would
-    return _recover(M, unit, scale, first, draw, 1, _design_right, n, m, k, r, policy, report)
+    with _stage(report, "preprocess"):
+        # one draw makes a repeated spectrum generic; a gap still too small
+        # after it is structural (ill-conditioning), and the sqrt(s) weight of
+        # the SVD route separates it better than more draws would
+        Q, M_tilde, resamples, (U, _) = _resample(
+            unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
+        )
+    V, sigma, flips = _design_right(M_tilde, U, m, k, r, policy, report)
+    return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
 def _svd_rung(
-    M: np.ndarray,
-    n: int,
-    m: int,
-    k: int,
-    policy: TolerancePolicy,
-    report: RecoveryReport,
+    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
@@ -691,42 +677,34 @@ def _svd_rung(
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     if svd.rank == 1:
-        with _stage(report, "rank_one"):
-            U = _rank_k_frame(svd.left, n, k, policy, "left")
-        return _rank_one_family(M, n, m, k, policy, report, U)
+        return _svd_rank_one(M, svd, n, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
     scale = float(svd.sigma[0])
     with _stage(report, "preprocess"):
         unit = M / scale
-        draw = _weighted_draw(n, k, r, policy)
         # the rank cutoff is relative, so the scaled SVD keeps the same rank
-        first = draw(unit, ReducedSvd(svd.left, svd.sigma / scale, svd.right))
-    return _recover(
-        M, unit, scale, first, draw, policy.max_resample, _core_right, n, m, k, r, policy, report
-    )
+        scaled = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
+        Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, scaled, n, k, r, policy)
+    V, sigma, flips = _core_right(M_tilde, U, right, m, k, r, policy, report)
+    return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
-def _recover(
-    M: np.ndarray, unit: np.ndarray, scale: float, first: tuple, draw, draws: int, right_side,
-    n: int, m: int, k: int, r: int, policy: TolerancePolicy, report: RecoveryReport,
+def _compose(
+    M: np.ndarray, scale: float, Q: np.ndarray, resamples: int, U: np.ndarray, V: np.ndarray,
+    sigma: np.ndarray, flips: np.ndarray, k: int, policy: TolerancePolicy, report: RecoveryReport,
 ) -> UniqueUpToSign:
-    """The stages after the rank, shared by both rungs: the verified answer.
+    """The tail both rungs share: A from the frames and sigma, verified against M.
 
-    ``unit`` is M divided by ``scale`` and ``first`` is ``draw``'s
-    ``(U, values, right)`` for it.  :func:`_resample` separates the r
-    values with up to ``draws`` draws.  The rung's ``right_side``
-    (:func:`_design_right` or :func:`_core_right`) then gives the right
-    frame V, sigma and the column flips of V; A is composed from them
-    (undoing the draw Q and the scale), and :func:`_verify` checks A
+    The rung resampled ``M / scale`` into ``compound(Q, k) @ M / scale``
+    (Q the identity when ``resamples`` is 0), and its right side gave the
+    right frame V, sigma and the column flips of V for that.  A is composed
+    from them, undoing Q and the scale, and :func:`_verify` checks it
     against M.
     """
-    with _stage(report, "preprocess"):
-        Q, M_tilde, resamples, (U, _, right) = _resample(unit, first, n, k, policy, draw, draws)
-    report.inferred_r = r
+    report.inferred_r = sigma.size
     report.preprocessing_used = resamples > 0
     report.resample_count = resamples
-    V, sigma, flips = right_side(M_tilde, U, right, m, k, r, policy, report)
     with _stage(report, "compose"):
         A = U @ (np.where(flips, -sigma, sigma)[:, None] * V.T)
         if resamples:
@@ -767,8 +745,8 @@ def _core_right(
 
 
 def _design_right(
-    M_tilde: np.ndarray, U: np.ndarray, right: None, m: int, k: int, r: int,
-    policy: TolerancePolicy, report: RecoveryReport,
+    M_tilde: np.ndarray, U: np.ndarray, m: int, k: int, r: int, policy: TolerancePolicy,
+    report: RecoveryReport,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rung 1's right side: V, sigma and the flips from the r design products.
 
@@ -870,21 +848,38 @@ def _verify(
 def reconstruction_residual(A, M, k: int) -> float:
     """Relative residual |compound(A, k) - M|_F / |M|_F (absolute when M = 0).
 
-    Both terms are divided by max|M| before the norms are taken, so the
-    squares inside the norms neither overflow nor underflow at extreme
-    scales of M.  A non-finite result means that the candidate's compound
-    overflowed; callers test ``not residual <= rtol`` so that it fails.
+    M must have the shape of ``compound(A, k)``, or
+    :class:`InvalidArgumentError` is raised.  Both terms are divided by
+    max|M| before the norms are taken, so the squares inside the norms
+    neither overflow nor underflow at extreme scales of M, and a difference
+    whose squares still overflow is summed by ``hypot`` (:func:`_norm`).  A
+    non-finite result means that the candidate's compound overflowed;
+    callers test ``not residual <= rtol`` so that it fails.
     """
-    return _residual(A, _as_float_matrix(M, "M"), k)
+    A = _as_float_matrix(A, "A")
+    return _residual(A, _as_compound(M, *A.shape, k), k)
 
 
 def _residual(A, M: np.ndarray, k: int) -> float:
-    """:func:`reconstruction_residual` of an M already checked to be a finite float matrix."""
-    peak = float(max(M.max(), -M.min())) if M.size else 0.0
+    """:func:`reconstruction_residual` of an M already checked against A's shape."""
+    peak = max(float(M.max()), -float(M.min()))
     if peak == 0.0:
-        return float(np.linalg.norm(compound(A, k) - M))
-    diff = float(np.linalg.norm((compound(A, k) - M) / peak))
-    return diff / float(np.linalg.norm(M / peak))
+        return _norm(compound(A, k) - M)
+    return _norm((compound(A, k) - M) / peak) / _norm(M / peak)
+
+
+def _norm(X: np.ndarray) -> float:
+    """The Frobenius norm of X, finite wherever the norm itself is.
+
+    ``np.linalg.norm`` takes ``sqrt(x . x)`` over ``X.ravel(order="K")``,
+    and ``np.vdot`` calls the same BLAS dot without checking for overflow,
+    so wherever the sum of squares is finite this returns the same bytes,
+    at no extra cost.  Where the squares overflow, the norm is accumulated
+    by ``hypot``, whose partial results never exceed the norm.
+    """
+    x = X.ravel(order="K")
+    square = float(np.vdot(x, x))
+    return math.sqrt(square) if square != math.inf else float(np.hypot.reduce(x))
 
 
 def _canonicalize_sign(A: np.ndarray, policy: TolerancePolicy) -> np.ndarray:
@@ -911,13 +906,29 @@ def rank_one_inverse(
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
-    U = _rank_k_frame(svd.left, n, k, policy, "left")
-    return _rank_one_family(M, n, m, k, policy, RecoveryReport(), U)
+    return _svd_rank_one(M, svd, n, m, k, policy, RecoveryReport())
+
+
+def _svd_rank_one(
+    M: np.ndarray, svd: ReducedSvd, n: int, m: int, k: int, policy: TolerancePolicy,
+    report: RecoveryReport,
+) -> RankOneFamily:
+    """The family of an M whose SVD has rank one, of rung 2 and of :func:`rank_one_inverse`.
+
+    U comes from the contraction of the one left singular vector, not of M:
+    that answers an M whose second direction lies between the SVD's rank
+    cutoff and the contraction's.
+    """
+    with _stage(report, "rank_one"):
+        U = _rank_k_frame(svd.left, n, k, policy, "left")
+        scale = max(float(M.max()), -float(M.min()))
+        unit = M / scale
+    return _rank_one_family(M, unit, scale, U, m, k, policy, report)
 
 
 def _rank_one_family(
-    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport,
-    U: np.ndarray,
+    M: np.ndarray, unit: np.ndarray, scale: float, U: np.ndarray, m: int, k: int,
+    policy: TolerancePolicy, report: RecoveryReport,
 ) -> RankOneFamily:
     """The verified preimage family of a rank-one M, from one contraction of each side.
 
@@ -925,20 +936,18 @@ def _rank_one_family(
     (k-1)-contraction has rank k, and the range is then its factor span
     (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for
     ``M = s u v^T`` the caller's U, the top k frame of the contraction of
-    ``M / max|M|`` (rung 1) or of u itself (:func:`_rank_k_frame`), spans
-    u's factors, and V comes from the contraction of the narrow
-    ``F = M^T compound(U, k)``, a multiple of v.  The 1 x 1 core
-    ``F^T compound(V, k) = compound(U, k)^T M compound(V, k)`` is then
-    ``+-s``: its sign goes into V's first column and ``Sigma`` is
-    ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  Raises
-    NotCompoundDecomposableError when the right contraction rank is not k
-    or the representative does not reproduce M.
+    ``unit = M / scale`` with ``scale = max|M|`` (rung 1) or of u itself
+    (:func:`_svd_rank_one`), spans u's factors, and V comes from the
+    contraction of the narrow ``F = unit^T compound(U, k)``, a multiple of
+    v.  The 1 x 1 core ``F^T compound(V, k) = compound(U, k)^T unit
+    compound(V, k)`` is then ``+-s / scale``: its sign goes into V's first
+    column and ``Sigma`` is ``|core|^(1/k) I``, rescaled by
+    ``scale^(1/k)``.  Raises NotCompoundDecomposableError when the right
+    contraction rank is not k or the representative does not reproduce M.
     """
     report.route = "rank-one"
     report.inferred_r = k
     with _stage(report, "rank_one"):
-        scale = max(float(M.max()), -float(M.min()))
-        unit = M / scale
         F = unit.T @ compound(U, k)
         V = _rank_k_frame(F, m, k, policy, "right")
         core = float(F[:, 0] @ compound(V, k)[:, 0])
@@ -984,7 +993,9 @@ def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_
     off_frame = np.linalg.norm((B - reconstructed) / peak)
     if not off_frame <= policy.residual_rtol * np.linalg.norm(B / peak):
         return False
-    return abs(float(np.linalg.det(T)) - 1.0) <= policy.residual_rtol
+    with np.errstate(over="ignore"):  # a det that overflows is inf, far from one
+        det = float(np.linalg.det(T))
+    return abs(det - 1.0) <= policy.residual_rtol
 
 
 def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -1008,10 +1019,5 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     unit = M / scale
     det = float(np.linalg.det(unit))
     B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
-    residual = _residual(B, M, n - 1)
-    if not residual <= policy.residual_rtol:
-        raise NotCompoundDecomposableError(
-            f"closed-form reconstruction residual {residual:.3e} exceeds "
-            f"{policy.residual_rtol:.1e}"
-        )
+    _verify(B, M, n - 1, policy, RecoveryReport(), NotCompoundDecomposableError)
     return B

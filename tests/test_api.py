@@ -25,6 +25,7 @@ from compound_kit import (
     numerics,
     preprocess_distinct,
     rank_one_inverse,
+    reconstruction_residual,
     recover_singular_values,
     recovery,
     reference,
@@ -121,6 +122,9 @@ def test_package_exports_the_module_lists_in_order():
                      id="preprocess-k-zero"),
         pytest.param(preprocess_distinct, (np.ones((0, 3)), 2, 3), InvalidArgumentError,
                      id="preprocess-k-above-n"),
+        # M must have the shape of compound(A, k), here (6, 6); a (1, 6) M would broadcast
+        pytest.param(reconstruction_residual, (np.eye(4), np.ones((1, 6)), 2),
+                     InvalidArgumentError, id="residual-shape"),
     ],
 )
 def test_argument_checks_raise_their_error(call, args, error):

@@ -273,6 +273,14 @@ def test_cli_verify_fails_closed_on_overflowing_candidate(tmp_path, capsys):
     assert "error: not-compound-decomposable:" in captured.err
 
 
+def test_cli_verify_rejects_m_of_the_wrong_shape(tmp_path, capsys):
+    # compound(A, 2) of a 4 x 4 A is 6 x 6
+    a_file = _write(tmp_path, "a.csv", random_rank_r(4, 4, 4, seed=3))
+    m_file = _write(tmp_path, "m.csv", np.ones((3, 3)))
+    assert main(["verify", "--a", a_file, "--m", m_file, "--k", "2"]) == 3
+    assert "error: invalid-argument:" in capsys.readouterr().err
+
+
 def test_cli_inverse_report_carries_preprocessing_and_value_residual(tmp_path):
     # M = I forces preprocessing
     infile = _write(tmp_path, "m.csv", np.eye(6))

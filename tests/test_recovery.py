@@ -51,6 +51,15 @@ def sign_error(got, want):
     return min(np.linalg.norm(got - want), np.linalg.norm(got + want)) / scale
 
 
+def _hand_over(patch):
+    """Make rung 1 refuse every input, so that the SVD route (rung 2) decides it alone."""
+
+    def refuse(*args):
+        raise DecompositionFailedError("rung 1 refuses every input here")
+
+    patch.setattr(recovery, "_contract", refuse)
+
+
 @pytest.fixture(scope="module")
 def recovery4():
     fx = load_fixtures()["recovery-4x4"]
@@ -91,7 +100,7 @@ def test_graded_compound_is_not_certified_as_a_non_compound():
     "cutoff drops the smallest compound singular values of a graded source",
 )
 def test_graded_compound_is_not_certified_as_a_non_compound_by_the_svd_rung(monkeypatch):
-    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _hand_over(monkeypatch)
     _, M = _graded_4x4_k2()
     try:
         inverse_compound(M, 4, 4, 2)
@@ -199,7 +208,7 @@ def test_resampling_skips_a_singular_draw(first, monkeypatch):
     for patched in (False, True):
         with monkeypatch.context() as patch:
             if patched:
-                patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+                _hand_over(patch)
             result = inverse_compound(np.eye(6), 4, 4, 2, policy)
         report = result.report
         assert isinstance(result.outcome, UniqueUpToSign)
@@ -614,6 +623,17 @@ def test_family_contains_is_relative_at_every_scale(k, scale):
     assert not family_contains(B, family)
 
 
+@pytest.mark.filterwarnings("error")
+def test_family_contains_refuses_a_multiple_whose_det_overflows():
+    # c A lies in the frame of A's family with det(T) = c^2, which overflows
+    # at c = 1e160; the verdict is False there as it is at 1e100
+    A = random_rank_r(4, 4, 2, seed=157)
+    family = rank_one_inverse(compound(A, 2), 4, 4, 2)
+    assert family_contains(A, family)
+    for c in (1e100, 1e160):
+        assert not family_contains(c * A, family)
+
+
 def _wedge_factor(z, n, k):
     """X with compound(X, k) = z when the wedge-kernel oracle finds z decomposable, else None."""
     if k == n:
@@ -750,6 +770,26 @@ def test_reconstruction_residual_is_scale_safe():
         assert reconstruction_residual(c * A, M, 2) <= 1e-14
         assert reconstruction_residual(c * B, M, 2) > 0.1
     assert reconstruction_residual(B, compound(1e100 * A, 2), 2) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reconstruction_residual_is_finite_where_its_squares_overflow():
+    # compounds near 1e180 against M = 0, and near 1e160 against a unit-scale
+    # M: the sums of squares overflow, the residuals do not
+    G = np.random.default_rng(151).standard_normal((4, 4))
+    got = reconstruction_residual(1e60 * G, np.zeros((4, 4)), 3)
+    assert got == pytest.approx(1e180 * np.linalg.norm(compound(G, 3)), rel=1e-12)
+    M = compound(np.random.default_rng(152).standard_normal((4, 4)), 2)
+    want = 1e160 * np.linalg.norm(compound(G, 2) - M / 1e160) / np.linalg.norm(M)
+    assert reconstruction_residual(1e80 * G, M, 2) == pytest.approx(want, rel=1e-12)
+
+
+def test_residual_norm_keeps_the_bytes_of_numpy_norm():
+    # the residual of every candidate whose squares stay finite is unchanged,
+    # whatever the memory layout of the difference
+    X = np.random.default_rng(153).standard_normal((21, 35))
+    for Y in (X, X.T, np.asfortranarray(X), X[::2, 1::3], 1e140 * X, 1e-140 * X):
+        assert recovery._norm(Y) == float(np.linalg.norm(Y))
 
 
 @pytest.mark.filterwarnings("error")
@@ -900,7 +940,7 @@ def test_incidence_built_once_per_rank_and_grade(monkeypatch):
 
     monkeypatch.setattr(recovery, "incidence_matrix", counting)
     # rung 1 solves its r x r design instead, so rung 2 answers alone here
-    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _hand_over(monkeypatch)
     recovery._incidence_solver.cache_clear()
     for seed in (73, 74):
         A = random_rank_r(7, 6, 5, seed=seed)
@@ -1011,7 +1051,7 @@ def test_preprocess_entry_points_share_one_loop(A, k, monkeypatch):
         A_pre = np.linalg.solve(pre.Q, A_tilde) * scale ** (1.0 / k)
         assert sign_error(A_pre, A) <= 1e-8
     # rung 2 alone: its resampling is preprocess_distinct's loop, draw for draw
-    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _hand_over(monkeypatch)
     for seed in range(10):
         policy = TolerancePolicy(rng_seed=seed)
         pre = preprocess_distinct(M / scale, n, k, policy)
@@ -1056,7 +1096,7 @@ def _rung_one_and_two(M, n, m, k, monkeypatch, policy=TolerancePolicy()):
     """inverse_compound as it runs, and with rung 1 handing every input over."""
     first = inverse_compound(M, n, m, k, policy)
     with monkeypatch.context() as patch:
-        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        _hand_over(patch)
         second = inverse_compound(M, n, m, k, policy)
     return first, second
 
@@ -1110,7 +1150,7 @@ def test_contraction_rung_keeps_every_refusal_tag(label, M, n, m, k, monkeypatch
     with pytest.raises(CompoundKitError) as first:
         inverse_compound(M, n, m, k)
     with monkeypatch.context() as patch:
-        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        _hand_over(patch)
         with pytest.raises(CompoundKitError) as second:
             inverse_compound(M, n, m, k)
     assert type(first.value) is type(second.value)
@@ -1173,7 +1213,7 @@ def test_design_right_side_reproduces_the_source(r):
             U = U[:, :r] * rng.choice([-1.0, 1.0], size=r)
             report = recovery.RecoveryReport()
             M = compound(A, k)
-            V, got, flips = recovery._design_right(M, U, None, m, k, r, policy, report)
+            V, got, flips = recovery._design_right(M, U, m, k, r, policy, report)
             assert_allclose(got, sigma[:r], rtol=1e-12)
             assert_allclose(np.abs(np.sum(V * Vt[:r].T, axis=0)), 1.0, rtol=0, atol=1e-12)
             A_hat = U @ (np.where(flips, -got, got)[:, None] * V.T)
@@ -1288,7 +1328,7 @@ def test_the_pipeline_never_reaches_the_reference_route(monkeypatch):
     batch = _pipeline_batch()
     as_is = [_route_or_tag(*case) for case in batch]
     with monkeypatch.context() as patch:
-        patch.setattr(recovery, "_contraction_rung", lambda *args: None)
+        _hand_over(patch)
         handed_over = [_route_or_tag(*case) for case in batch]
     # the batch reaches every route of both rungs and refuses too
     assert {got[1] for got in as_is if isinstance(got, tuple)} == {"contraction", "rank-one", "zero"}
@@ -1297,7 +1337,7 @@ def test_the_pipeline_never_reaches_the_reference_route(monkeypatch):
 
     _forbid_reference_route(monkeypatch)
     assert [_route_or_tag(*case) for case in batch] == as_is
-    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _hand_over(monkeypatch)
     assert [_route_or_tag(*case) for case in batch] == handed_over
 
 
@@ -1392,7 +1432,7 @@ def test_k1_source_near_the_rank_cutoff_is_its_own_compound(monkeypatch):
     policy = TolerancePolicy()
     family = rank_one_inverse(M, 2, 8, 1, policy)
     assert reconstruction_residual(family.representative(), M, 1) <= policy.residual_rtol
-    monkeypatch.setattr(recovery, "_contraction_rung", lambda *args: None)
+    _hand_over(monkeypatch)
     handed_over = inverse_compound(M, 2, 8, 1, policy)
     assert isinstance(handed_over.outcome, RankOneFamily)
     assert handed_over.report.route == "rank-one"

@@ -15,9 +15,11 @@ of a rank k-1 source's compound), all with 2 <= n, m <= 7 and every k.  Each tre
 runs the whole corpus in its own subprocess, with BLAS pinned to one thread
 and every warning turned into an error; an exception without a tag, a
 warning among them, is recorded as ``untagged:<type>``.  With
-``--handover`` both workers rebind ``recovery._contraction_rung`` to return
-None, so that every input is handed over and the SVD route (rung 2) runs
-alone.
+``--handover`` both workers rebind ``recovery._contract``, rung 1, to raise a
+``CompoundKitError``, so that every input is handed over and the SVD route
+(rung 2) runs alone.  That works on every tree that catches rung 1's
+refusals around a call of ``recovery._contract``, whether in
+``inverse_compound`` or in a wrapper of its own.
 
 For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 ``resample_count``, the stage names and the bytes of the answer are
@@ -147,7 +149,11 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
     if src.resolve() not in Path(ck.__file__).resolve().parents:
         raise SystemExit(f"imported {ck.__file__}, not the tree under {src}")
     if handover:
-        ck.recovery._contraction_rung = lambda *args: None
+
+        def refuse(*args):
+            raise ck.CompoundKitError("rung 1 refuses every input under --handover")
+
+        ck.recovery._contract = refuse
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
