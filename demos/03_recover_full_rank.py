@@ -29,7 +29,6 @@ print("Recovery report:")
 print(f"  inferred source rank     : {report.inferred_r}")
 print(f"  preprocessing used       : {report.preprocessing_used}")
 print(f"  reconstruction residual  : {report.reconstruction_residual:.2e}")
-print(f"  singular-value residual  : {report.singular_value_residual:.2e}")
 print(f"  stage timings (ms)       : "
       + ", ".join(f"{k}={v * 1e3:.2f}" for k, v in report.stage_timings.items()))
 print(f"  error vs original (up to sign): {err:.2e}")

@@ -185,7 +185,6 @@ def _cmd_inverse(args) -> int:
             "inferred_r": report.inferred_r,
             "preprocessing_used": report.preprocessing_used,
             "resamples": report.resample_count,
-            "singular_value_residual": report.singular_value_residual,
             "timings_ms": {k: v * 1e3 for k, v in report.stage_timings.items()},
         }
         with open(args.json_report, "w") as fh:

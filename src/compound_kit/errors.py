@@ -85,10 +85,10 @@ class PreprocessingFailedError(NumericalFailureError):
 class DecompositionFailedError(NumericalFailureError):
     """The input did not decompose into the expected one-dimensional directions.
 
-    Raised when wedge decomposition finds no such directions, when the
-    compounds of the recovered frames do not diagonalize the input, and
-    inside rung 1 when a design product is no wedge (rung 2 then decides
-    the input under its own tag).
+    Raised when wedge decomposition finds no such directions, and when a
+    design product of the input lies farther than ``residual_rtol * |M|``
+    from a wedge (inside rung 1 that hands the input over, and rung 2 then
+    decides it under its own tag).
     """
 
     tag = "decomposition-failed"

@@ -14,10 +14,12 @@ the rank of M:
 Every nonzero M takes one of two rungs.  Each finds its left frame and the
 rank r from a signed (k-1)-contraction (:func:`_contraction_frame`).  They
 differ in their scale, their first contraction, their draw and their right
-side.  Each calls the shared resampling loop (:func:`_resample`), then its
-own right side, then the shared tail that composes A and verifies it
-(:func:`_compose`).  :func:`inverse_compound` runs rung 1 (:func:`_contract`)
-and hands over to rung 2 (:func:`_svd_rung`) when it refuses.
+frame V.  Each calls the shared resampling loop (:func:`_resample`), then
+the shared design gate (:func:`_design_products`), its own V, the shared
+``singular_values`` step (:func:`_design_values`), and the shared tail that
+composes A and verifies it (:func:`_compose`).  :func:`inverse_compound`
+runs rung 1 (:func:`_contract`) and hands over to rung 2 (:func:`_svd_rung`)
+when it refuses.
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
@@ -51,20 +53,20 @@ The stages after the rank, for r > k:
   loop of :func:`preprocess_distinct`).  Rung 1 takes one draw, which
   contracts the new M directly; rung 2 takes up to ``max_resample``, each
   with its own SVD.
-* ``frames``, rung 1 (:func:`_design_right`): r design products
-  ``f_I = M^T c_I(U)``, for ``I = {0..k-1}``, its k faces with k, and
-  ``{0..k-2, i}`` for i > k, are wedges whose unfoldings give the
-  projectors onto ``span(v_i : i in I)``; pairs of them give V, and a
-  product that is no wedge hands over.  Only ``compound(U[:, :k+1], k)``
-  is built, never a ``binom(r, k)``-wide compound.
-* ``frames``, rung 2 (:func:`_core_right`): V is the top r of the
-  contraction of ``R diag(sqrt(s))``, and ``compound(U, k)^T M
-  compound(V, k)`` must be diagonal.
-* ``singular_values``: sigma from the log-magnitudes of the r design
-  products (rung 1, an r x r system solved exactly) or of that diagonal
-  (rung 2, the subset-incidence least squares), and the column flips of V
-  from their signs through a parity system over GF(2).  Every system is
-  solved with factorizations cached per ``(r, k)``.
+* ``frames``: r design products ``f_I = M^T c_I(U)``, for
+  ``I = {0..k-1}``, its k faces with k, and ``{0..k-2, i}`` for i > k, are
+  wedges whose unfoldings give the projectors onto ``span(v_i : i in I)``,
+  and a product that is no wedge is refused (:func:`_design_products`).
+  Only ``compound(U[:, :k+1], k)`` is built, never a ``binom(r, k)``-wide
+  compound.  Rung 1 takes V from pairs of the projectors
+  (:func:`_complement_frame`); rung 2 takes the top r of the contraction of
+  ``R diag(sqrt(s))``, which keeps V on graded sources where the
+  complements lose it.
+* ``singular_values`` (:func:`_design_values`): sigma from the
+  log-magnitudes of the r design products, an r x r system solved exactly,
+  and the column flips of V from their signs against V's k x k minors,
+  through a parity system over GF(2).  Both systems are solved with
+  factorizations cached per ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
   the one place either rung verifies an answer of rank r > k; the rank-one
@@ -73,8 +75,7 @@ The stages after the rank, for r > k:
 The paper's own route, which wedge-decomposes every column of the SVD
 factors and aligns the directions against them, lives in
 :mod:`compound_kit.reference` as the oracle the tests check this pipeline
-against.  Its public names are importable from this module too, but they
-are not in its ``__all__``: :mod:`compound_kit.reference` exports them.
+against; :func:`inverse_compound` never calls it.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ from .exterior import compound
 from .numerics import (
     DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, _numerical_rank, gf2_solver,
     reduced_svd,
-)
-from .reference import (  # noqa: F401  (importable from here, exported by reference)
-    AlignedFactors, _exhaustive_sign_vector, align_and_sign_adjust, order_compound_singular_values,
-    wedge_decompose,
 )
 
 __all__ = [
@@ -175,13 +172,9 @@ class RecoveryReport:
     ``inferred_r`` is the rank of the recovered matrix (for the rank-one and
     zero families it reports k, the family grade).  ``route`` names the path
     that produced the answer: ``contraction`` (rung 1), ``svd`` (rung 2),
-    ``rank-one`` or ``zero``.  ``singular_value_residual`` is the residual of
-    rung 2's log-linear least squares over all binom(r, k) products; on
-    route ``contraction`` it reads 0.0, because rung 1 solves a square
-    system of r products exactly (the answer is still verified).
-    ``stage_timings`` maps stage names to seconds, summed over the times a
-    stage is entered; when rung 1 hands over, its whole time is
-    ``contraction_attempt``.
+    ``rank-one`` or ``zero``.  ``stage_timings`` maps stage names to
+    seconds, summed over the times a stage is entered; when rung 1 hands
+    over, its whole time is ``contraction_attempt``.
     """
 
     route: str = ""
@@ -189,7 +182,6 @@ class RecoveryReport:
     preprocessing_used: bool = False
     resample_count: int = 0
     reconstruction_residual: float = 0.0
-    singular_value_residual: float = 0.0
     stage_timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -372,16 +364,16 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     The two rungs of :func:`inverse_compound` differ in the F they contract
     on the left.  Rung 1 contracts M itself,
     ``F F^T = M M^T = compound(A A^T, k)``, so ``g = sigma^2``; it needs no
-    SVD of M.  Its right side contracts no whole F: each of its r design
+    SVD of M.  Its right frame contracts no whole F: each of the r design
     products ``M^T c_I(U)`` is one wedge, whose unfolding is the case r = k
     above, k equal singular values whose frame spans the wedge's factors
-    (:func:`_design_right`).  Rung 2 contracts ``F = L diag(sqrt(s))`` from
-    the SVD ``M = L diag(s) R^T``, and ``R diag(sqrt(s))`` on the right, so
-    ``F F^T = compound(U Sigma U^T, k)`` and ``g = sigma``.  The gaps
-    between the lam then grow with the other singular values rather than
-    with their squares, which is what still separates the frames of
-    ill-conditioned sources whose squared gaps fall below ``gap_rtol``; that
-    is why rung 2 keeps the ``sqrt(s)`` weight.
+    (:func:`_design_products`).  Rung 2 contracts ``F = L diag(sqrt(s))``
+    from the SVD ``M = L diag(s) R^T``, and ``R diag(sqrt(s))`` for its
+    right frame, so ``F F^T = compound(U Sigma U^T, k)`` and ``g = sigma``.
+    The gaps between the lam then grow with the other singular values
+    rather than with their squares, which is what still separates the
+    frames of ill-conditioned sources whose squared gaps fall below
+    ``gap_rtol``; that is why rung 2 keeps the ``sqrt(s)`` weight.
 
     E's singular values come from the triangular factor of a QR of ``E^T``:
     the conditioning is that of E, not of ``E E^T``, and E's right singular
@@ -421,15 +413,9 @@ def recover_singular_values(
     ``d`` holds the compound singular values in lexicographic k-tuple order:
     d_I = prod_{i in I} sigma_i.  Taking logs turns this into the linear
     system ``L x = log d`` with L the subset-incidence matrix, which has full
-    column rank; the residual certifies that d really is a product vector.
+    column rank; the residual ``|L x - log d|`` certifies that d really is a
+    product vector, or :class:`InconsistentCompoundValuesError` is raised.
     """
-    return _log_linear_solve(d, r, k, policy)[0]
-
-
-def _log_linear_solve(
-    d, r: int, k: int, policy: TolerancePolicy
-) -> tuple[np.ndarray, float]:
-    """:func:`recover_singular_values` and its log-linear residual ``|L x - log d|``."""
     d = np.asarray(d, dtype=float).ravel()
     if not 1 <= k < r:
         raise InvalidArgumentError(f"need 1 <= k < r, got k={k}, r={r}")
@@ -449,7 +435,7 @@ def _log_linear_solve(
             f"log-linear residual {residual:.3e} exceeds "
             f"{policy.residual_rtol:.1e} * {scale:.3e}; values are not k-fold products"
         )
-    return np.exp(x), residual
+    return np.exp(x)
 
 
 class _IncidenceSolver(NamedTuple):
@@ -490,7 +476,7 @@ def _solver(entries: np.ndarray) -> _IncidenceSolver:
 
 
 class _Design(NamedTuple):
-    """The r index sets of rung 1's right side for one ``(r, k)`` (:func:`_design_right`).
+    """The r index sets of the design products for one ``(r, k)`` (:func:`_design_products`).
 
     ``sets`` (r x k) lists them in order: the k-subsets of ``{0..k}`` in lex
     order, that is ``{0..k}`` without k, k-1, ..., 0, then ``{0..k-2, i}``
@@ -597,9 +583,12 @@ def inverse_compound(
         check fails (:class:`VerificationFailedError`).
     NumericalFailureError
         If a pipeline stage fails at the configured tolerances; in
-        particular :class:`DecompositionFailedError` when M is not diagonal
-        in the compounds of the recovered frames, which is what an input
-        that no compound is close to fails first.
+        particular :class:`DecompositionFailedError` when a design product
+        lies farther than ``residual_rtol * |M|`` from a wedge, which is
+        what an input that no compound is close to fails first when
+        ``m > k + 1``.  At ``m <= k + 1`` every product is a wedge, and such
+        an input fails the sign parity system
+        (:class:`SignAdjustmentFailedError`) or the final check.
     """
     M = _as_compound(M, n, m, k)
     report = RecoveryReport()
@@ -662,7 +651,11 @@ def _contract(
         Q, M_tilde, resamples, (U, _) = _resample(
             unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
-    V, sigma, flips = _design_right(M_tilde, U, m, k, r, policy, report)
+    with _stage(report, "frames"):
+        f, norms, P = _design_products(M_tilde, U, m, k, r, policy)
+        V = _complement_frame(P, k, r)
+    with _stage(report, "singular_values"):
+        sigma, flips = _design_values(f, norms, V, m, k, r)
     return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
@@ -671,8 +664,9 @@ def _svd_rung(
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
-    One SVD of M, then the contraction of its weighted factors; every failed
-    check raises its tagged error.
+    One SVD of M, then the contraction of its weighted factors for both
+    frames, and rung 1's design gate and ``singular_values`` step; every
+    failed check raises its tagged error.
     """
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
@@ -686,7 +680,11 @@ def _svd_rung(
         # the rank cutoff is relative, so the scaled SVD keeps the same rank
         scaled = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
         Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, scaled, n, k, r, policy)
-    V, sigma, flips = _core_right(M_tilde, U, right, m, k, r, policy, report)
+    with _stage(report, "frames"):
+        f, norms, _ = _design_products(M_tilde, U, m, k, r, policy)
+        V = _contraction_frame(right, m, k)[0][:, :r]
+    with _stage(report, "singular_values"):
+        sigma, flips = _design_values(f, norms, V, m, k, r)
     return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
@@ -714,41 +712,10 @@ def _compose(
     return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 
 
-def _core_right(
-    M_tilde: np.ndarray, U: np.ndarray, right: np.ndarray, m: int, k: int, r: int,
-    policy: TolerancePolicy, report: RecoveryReport,
+def _design_products(
+    M_tilde: np.ndarray, U: np.ndarray, m: int, k: int, r: int, policy: TolerancePolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rung 2's right side: V, sigma and the flips from the full core.
-
-    V is the top r of the contraction of ``right``, up to column signs.  The
-    core ``compound(U, k)^T M_tilde compound(V, k)`` must be diagonal to
-    within ``residual_rtol * |M_tilde|``, or
-    :class:`DecompositionFailedError` is raised; its diagonal d gives sigma
-    through the log-linear solve and the flips through the parity system.
-    """
-    with _stage(report, "frames"):
-        F = M_tilde.T @ compound(U, k)
-        V = _contraction_frame(right, m, k)[0][:, :r]
-        core = F.T @ compound(V, k)
-        d = np.diag(core).copy()
-        off_diagonal = float(np.linalg.norm(core - np.diag(d)))
-        limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
-        if not off_diagonal <= limit:
-            raise DecompositionFailedError(
-                f"off-diagonal mass {off_diagonal:.3e} of compound(U, k)^T M compound(V, k) "
-                f"exceeds {policy.residual_rtol:.1e} * |M| = {limit:.3e}"
-            )
-    with _stage(report, "singular_values"):
-        sigma, report.singular_value_residual = _log_linear_solve(np.abs(d), r, k, policy)
-        flips = _incidence_solver(r, k).parity_solution((d < 0).astype(np.uint8))
-    return V, sigma, flips
-
-
-def _design_right(
-    M_tilde: np.ndarray, U: np.ndarray, m: int, k: int, r: int, policy: TolerancePolicy,
-    report: RecoveryReport,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rung 1's right side: V, sigma and the flips from the r design products.
+    """The gate of both right sides: the r design products, their norms and projectors.
 
     For each set I of :func:`_design`, ``f_I = M_tilde^T c_I(U)`` is the
     wedge of the ``w_i = A_tilde^T u_i`` over I, with A_tilde the source of
@@ -764,7 +731,36 @@ def _design_right(
     not see a perturbation of 1e-6).  When ``|f_I| |E_I - P_I E_I|``
     exceeds ``residual_rtol * |M_tilde|`` for some I, the input is no
     compound, and :class:`DecompositionFailedError` is raised before
-    anything is composed.
+    anything is composed.  At ``m <= k + 1`` every k-vector of ``R^m`` is a
+    wedge, so the gate cannot refuse there, and the parity system or
+    ``verify`` is the first check that can.
+
+    Returns ``(f, norms, P)``: the products as the columns of f (m_k x r,
+    ``m_k = binom(m, k)``), their norms, and the r projectors (r x m x m).
+    """
+    f = M_tilde.T @ _design_wedges(U, k, r)
+    norms = np.sqrt((f * f).sum(axis=0))
+    if not norms.all():
+        raise DecompositionFailedError("a design product of M is zero")
+    # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
+    # products below read these strides, and a C-ordered copy would round
+    # some of them differently
+    E = _signed_take(f / norms, _signed_contraction(m, k)).transpose(2, 0, 1)
+    P = E @ E.transpose(0, 2, 1)
+    outside = E - P @ E
+    defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))
+    limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
+    worst = float(defect.max())
+    if not worst <= limit:
+        raise DecompositionFailedError(
+            f"a design product lies {worst:.3e} from a wedge, more than "
+            f"{policy.residual_rtol:.1e} * |M| = {limit:.3e}"
+        )
+    return f, norms, P
+
+
+def _complement_frame(P: np.ndarray, k: int, r: int) -> np.ndarray:
+    """Rung 1's right frame V, from the projectors of :func:`_design_products`.
 
     For each design pair with ``outer - inner = {i}``, the range of
     ``P_outer (I - P_inner)`` is the direction of ``span(outer)`` orthogonal
@@ -778,55 +774,46 @@ def _design_right(
     and so does the primal basis.  The complement of a ``w_j`` of smaller
     sigma turns by ``sigma_i / sigma_j`` times more.
 
+    Rung 2 takes its V from the contraction of ``R diag(sqrt(s))`` instead:
+    on graded sources these complements lose V where that contraction keeps
+    it.
+    """
+    outer, inner = P[_design(r, k).pairs]
+    rank_one = outer - outer @ inner
+    peak = np.diagonal(rank_one, axis1=1, axis2=2).argmax(axis=1)
+    V = rank_one[np.arange(r), :, peak].T
+    # for i < k the pairs give the dual basis of the w_i in span(f_I0);
+    # the primal basis stays along each w_i when U's columns are rotated
+    dual = V[:, :k]
+    try:
+        V[:, :k] = np.linalg.solve(dual.T @ dual, dual.T).T
+    except np.linalg.LinAlgError as err:
+        raise DecompositionFailedError("two design products span the same directions") from err
+    lengths = np.sqrt((V * V).sum(axis=0))
+    if not lengths.all():
+        raise DecompositionFailedError("two design products span the same directions")
+    V /= lengths
+    return V
+
+
+def _design_values(
+    f: np.ndarray, norms: np.ndarray, V: np.ndarray, m: int, k: int, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``singular_values`` step of both rungs: sigma and V's column flips.
+
     ``log |f_I| = sum_I log sigma`` is a square system with the design's
     incidence, solved exactly, so there is no log-linear residual.  The sign
     of ``f_I`` against ``c_I(V)``, read at ``f_I``'s largest entry S as
     ``sign f_I[S] * sign det V[S, I]``, is the parity of the flips over I,
-    solved over GF(2).
+    solved over GF(2); at even k that system has rank r - 1, which leaves
+    one sign condition that a non-compound can fail.
     """
     design = _design(r, k)
-    with _stage(report, "frames"):
-        f = M_tilde.T @ _design_wedges(U, k, r)
-        norms = np.sqrt((f * f).sum(axis=0))
-        if not norms.all():
-            raise DecompositionFailedError("a design product of M is zero")
-        # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
-        # products below read these strides, and a C-ordered copy would
-        # round some of them differently
-        E = _signed_take(f / norms, _signed_contraction(m, k)).transpose(2, 0, 1)
-        P = E @ E.transpose(0, 2, 1)
-        outside = E - P @ E
-        defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))
-        limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
-        worst = float(defect.max())
-        if not worst <= limit:
-            raise DecompositionFailedError(
-                f"a design product lies {worst:.3e} from a wedge, more than "
-                f"{policy.residual_rtol:.1e} * |M| = {limit:.3e}"
-            )
-        outer, inner = P[design.pairs]
-        rank_one = outer - outer @ inner
-        peak = np.diagonal(rank_one, axis1=1, axis2=2).argmax(axis=1)
-        columns = np.arange(r)
-        V = rank_one[columns, :, peak].T
-        # for i < k the pairs give the dual basis of the w_i in span(f_I0);
-        # the primal basis stays along each w_i when U's columns are rotated
-        dual = V[:, :k]
-        try:
-            V[:, :k] = np.linalg.solve(dual.T @ dual, dual.T).T
-        except np.linalg.LinAlgError as err:
-            raise DecompositionFailedError("two design products span the same directions") from err
-        lengths = np.sqrt((V * V).sum(axis=0))
-        if not lengths.all():
-            raise DecompositionFailedError("two design products span the same directions")
-        V /= lengths
-    with _stage(report, "singular_values"):
-        sigma = np.exp(design.solver.pinv @ np.log(norms))
-        rows = np.abs(f).argmax(axis=0)
-        minors = V[_tuple_array(m, k)[rows][:, :, None], design.sets[:, None, :]]
-        negative = f[rows, columns] * np.linalg.det(minors) < 0
-        flips = design.solver.parity_solution(negative.astype(np.uint8))
-    return V, sigma, flips
+    sigma = np.exp(design.solver.pinv @ np.log(norms))
+    rows = np.abs(f).argmax(axis=0)
+    minors = V[_tuple_array(m, k)[rows][:, :, None], design.sets[:, None, :]]
+    negative = f[rows, np.arange(r)] * np.linalg.det(minors) < 0
+    return sigma, design.solver.parity_solution(negative.astype(np.uint8))
 
 
 def _verify(

@@ -41,7 +41,7 @@ from compound_kit import (
     wedge_decompose,
 )
 from compound_kit import recovery
-from compound_kit.recovery import _exhaustive_sign_vector
+from compound_kit.reference import _exhaustive_sign_vector
 from compound_kit.combinat import incidence_matrix
 from compound_kit.testkit import load_fixtures, random_rank_r
 
@@ -405,7 +405,6 @@ def test_inverse_reference_4x4(recovery4):
     assert result.report.inferred_r == 3
     assert result.report.reconstruction_residual <= 1e-8
     assert not result.report.preprocessing_used
-    assert result.report.singular_value_residual <= 1e-8
     assert result.report.route == "contraction"
     assert set(result.report.stage_timings) >= {
         "preprocess", "frames", "singular_values", "compose", "verify"
@@ -939,13 +938,20 @@ def test_incidence_built_once_per_rank_and_grade(monkeypatch):
         return incidence_matrix(r, k)
 
     monkeypatch.setattr(recovery, "incidence_matrix", counting)
-    # rung 1 solves its r x r design instead, so rung 2 answers alone here
-    _hand_over(monkeypatch)
     recovery._incidence_solver.cache_clear()
+    # both rungs solve the r x r design, never the binom(r, k) incidence
+    for handed_over in (False, True):
+        with monkeypatch.context() as patch:
+            if handed_over:
+                _hand_over(patch)
+            A = random_rank_r(7, 6, 5, seed=73)
+            out = inverse_compound(compound(A, 3), 7, 6, 3).outcome
+            assert np.linalg.norm(out.A - A) <= 1e-8 * np.linalg.norm(A)
+    assert built == []
     for seed in (73, 74):
-        A = random_rank_r(7, 6, 5, seed=seed)
-        out = inverse_compound(compound(A, 3), 7, 6, 3).outcome
-        assert np.linalg.norm(out.A - A) <= 1e-8 * np.linalg.norm(A)
+        sigma = np.linalg.svd(random_rank_r(7, 6, 5, seed=seed), compute_uv=False)[:5]
+        d = [np.prod(sigma[list(I)]) for I in combinations(range(5), 3)]
+        assert_allclose(recover_singular_values(d, 5, 3), sigma, rtol=1e-12)
     assert built == [(5, 3)]
 
 
@@ -1211,9 +1217,10 @@ def test_design_right_side_reproduces_the_source(r):
             A = random_rank_r(n, m, r, seed=int(rng.integers(2**31)))
             U, sigma, Vt = np.linalg.svd(A)
             U = U[:, :r] * rng.choice([-1.0, 1.0], size=r)
-            report = recovery.RecoveryReport()
             M = compound(A, k)
-            V, got, flips = recovery._design_right(M, U, m, k, r, policy, report)
+            f, norms, P = recovery._design_products(M, U, m, k, r, policy)
+            V = recovery._complement_frame(P, k, r)
+            got, flips = recovery._design_values(f, norms, V, m, k, r)
             assert_allclose(got, sigma[:r], rtol=1e-12)
             assert_allclose(np.abs(np.sum(V * Vt[:r].T, axis=0)), 1.0, rtol=0, atol=1e-12)
             A_hat = U @ (np.where(flips, -got, got)[:, None] * V.T)
@@ -1222,7 +1229,6 @@ def test_design_right_side_reproduces_the_source(r):
                 assert np.linalg.norm(A_hat - A) <= 1e-12 * np.linalg.norm(A)
             result = inverse_compound(M, n, m, k, policy)
             assert result.report.route == "contraction"
-            assert result.report.singular_value_residual == 0.0
             assert sign_error(result.outcome.A, A) <= 1e-12
 
 
@@ -1275,6 +1281,24 @@ def test_rung_one_compounds_only_narrow_frames(monkeypatch):
     wide = [shape for shape in shapes if shape[1] > 6]
     assert wide == [(10, 10)]
     assert len(shapes) == 2
+
+
+def test_rung_two_compounds_only_narrow_frames(monkeypatch):
+    # handed over, the SVD route shares the design gate, so it too builds
+    # only compound(U[:, :6], 5) and verify's compound of the candidate
+    shapes = []
+
+    def recording(X, k):
+        shapes.append(np.shape(X))
+        return compound(X, k)
+
+    monkeypatch.setattr(recovery, "compound", recording)
+    _hand_over(monkeypatch)
+    A = np.random.default_rng(113).standard_normal((10, 10))
+    result = inverse_compound(compound(A, 5), 10, 10, 5)
+    assert (result.report.route, result.report.resample_count) == ("svd", 0)
+    assert np.linalg.norm(result.outcome.A - A) <= 1e-12 * np.linalg.norm(A)
+    assert shapes == [(10, 6), (10, 10)]
 
 
 def _pipeline_batch():

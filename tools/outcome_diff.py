@@ -26,9 +26,11 @@ For every input the outcome type, the refusal tag, the route, ``inferred_r``,
 compared, and the count of differing inputs is printed per field, with the
 first few differing inputs.  The inputs that differ in the answer bytes
 alone are counted per kind and per (n, k), so that a drift of rounding or
-memory layout is located without a bisect.  Every input whose outcome is
-``untagged:*`` in either tree is printed too, however many there are, with
-its kind, shape, k, ``rank_rtol`` and the exception's message.  The exit
+memory layout is located without a bisect.  Every input whose outcome or
+tag differs is counted per kind and per pair of old and new outcome-or-tag
+(the tag of a refusal, otherwise the outcome type).  Every input whose
+outcome is ``untagged:*`` in either tree is printed too, however many there
+are, with its kind, shape, k, ``rank_rtol`` and the exception's message.  The exit
 status is 1 when any field differs.
 
 For the kinds whose source is the answer (exact, graded, repeated,
@@ -190,10 +192,15 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
     out_path.write_text(json.dumps(records))
 
 
+def outcome_or_tag(record: dict) -> str:
+    """The refusal tag of a refused input, otherwise its outcome type."""
+    return record["tag"] if record["outcome"] == "refused" else record["outcome"]
+
+
 def tally(records: list[dict]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for record in records:
-        key = record["tag"] if record["outcome"] == "refused" else record["outcome"]
+        key = outcome_or_tag(record)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -267,6 +274,14 @@ def main() -> int:
               + ", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items())))
         print("    by (n, k): "
               + ", ".join(f"({n}, {k}) {count}" for (n, k), count in sorted(grades.items())))
+    moves = Counter(
+        (inputs[i][0], outcome_or_tag(old[i]), outcome_or_tag(new[i])) for i in differing
+        if outcome_or_tag(old[i]) != outcome_or_tag(new[i])
+    )
+    if moves:
+        print(f"  outcome or tag moves ({sum(moves.values())} inputs), per kind:")
+        for (kind, was, now), count in sorted(moves.items()):
+            print(f"    {kind:16s} {was} -> {now}: {count}")
     for i in differing[:SHOW]:
         kind, _, n, m, k, rank_rtol, _ = inputs[i]
         fields = {name: (old[i][name], new[i][name]) for name in FIELDS if old[i][name] != new[i][name]}
