@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CompoundKitError,
-    InvalidArgumentError,
-    MatrixIOError,
-    NotCompoundDecomposableError,
-)
+from .errors import CompoundKitError, InvalidArgumentError, NotCompoundDecomposableError
 from .exterior import adjugate, adjugate_via_compound, compound
-from .matio import parse_matrix, render_matrix, write_matrix
+from .matio import _write_text, parse_matrix, render_matrix, write_matrix
 from .numerics import TolerancePolicy
 from .recovery import (
     RankDeficientFamily,
@@ -187,9 +182,7 @@ def _cmd_inverse(args) -> int:
             "resamples": report.resample_count,
             "timings_ms": {k: v * 1e3 for k, v in report.stage_timings.items()},
         }
-        with open(args.json_report, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.json_report, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -281,11 +274,7 @@ def _cmd_bench(args) -> int:
         for rec in records:
             cells = ",".join(f"{rec.stage_timings.get(s, 0.0) * 1e3:.6f}" for s in stages)
             lines.append(f"{rec.n},{rec.rep},{rec.total_s * 1e3:.6f},{cells}")
-        try:
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise MatrixIOError(f"{args.csv}: {exc.strerror or exc}") from exc
+        _write_text(args.csv, "\n".join(lines) + "\n")
     return 0
 
 

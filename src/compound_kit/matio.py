@@ -4,7 +4,8 @@ Two formats, chosen by file suffix: ``.json`` holds an object with integer
 ``rows``/``cols`` and a row-major ``data`` array; anything else is read as
 CSV with one matrix row per line.  Writes carry 17 significant digits so a
 read-back is bit-identical.  Read errors point at the offending line and
-column.
+column.  A file that cannot be read or written, or is not UTF-8 text, raises
+:class:`MatrixIOError`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ def parse_matrix(path) -> np.ndarray:
     """Read a matrix from a CSV or JSON file (vectors are 1 x m or n x 1)."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixIOError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixIOError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if path.suffix.lower() == ".json":
         return _parse_json(path, text)
     return _parse_csv(path, text)
@@ -40,13 +43,15 @@ def _parse_json(path: Path, text: str) -> np.ndarray:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixIOError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise MatrixIOError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise MatrixIOError(f"{path}: top level must be an object")
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise MatrixIOError(f"{path}: missing key {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not (type(rows) is int and type(cols) is int) or rows < 1 or cols < 1:  # bool is no count
         raise MatrixIOError(f"{path}: rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixIOError(
@@ -103,8 +108,13 @@ def write_matrix(path, X, fmt: str | None = None) -> None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
     if fmt not in ("csv", "json"):
         raise MatrixIOError(f"unknown format {fmt!r}")
+    _write_text(path, render_matrix(X, fmt))
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; every file the package writes goes through here."""
     try:
-        path.write_text(render_matrix(X, fmt))
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise MatrixIOError(f"{path}: {exc.strerror or exc}") from exc
 

@@ -65,8 +65,8 @@ The stages after the rank, for r > k:
 * ``singular_values`` (:func:`_design_values`): sigma from the
   log-magnitudes of the r design products, an r x r system solved exactly,
   and the column flips of V from their signs against V's k x k minors,
-  through a parity system over GF(2).  Both systems are solved with
-  factorizations cached per ``(r, k)``.
+  through a parity system over GF(2).  Both systems are solved with the
+  factorizations that :func:`_design` caches per ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
   the one place either rung verifies an answer of rank r > k; the rank-one
@@ -105,7 +105,7 @@ from .errors import (
 from .exterior import compound
 from .numerics import (
     DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, _numerical_rank, gf2_solver,
-    reduced_svd,
+    least_squares, reduced_svd,
 )
 
 __all__ = [
@@ -413,8 +413,11 @@ def recover_singular_values(
     ``d`` holds the compound singular values in lexicographic k-tuple order:
     d_I = prod_{i in I} sigma_i.  Taking logs turns this into the linear
     system ``L x = log d`` with L the subset-incidence matrix, which has full
-    column rank; the residual ``|L x - log d|`` certifies that d really is a
-    product vector, or :class:`InconsistentCompoundValuesError` is raised.
+    column rank, solved by :func:`least_squares`; the residual
+    ``|L x - log d|`` certifies that d really is a product vector, or
+    :class:`InconsistentCompoundValuesError` is raised.  The pipeline reads
+    sigma from the r x r design instead (:func:`_design_values`); this is the
+    step of the paper's route in :mod:`compound_kit.reference`.
     """
     d = np.asarray(d, dtype=float).ravel()
     if not 1 <= k < r:
@@ -425,10 +428,8 @@ def recover_singular_values(
         )
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise InvalidArgumentError("compound singular values must be positive and finite")
-    solver = _incidence_solver(r, k)
     y = np.log(d)
-    x = solver.pinv @ y
-    residual = float(np.linalg.norm(solver.L @ x - y))
+    x, residual = least_squares(incidence_matrix(r, k).entries, y)
     scale = max(1.0, float(np.linalg.norm(y)))
     if not residual <= policy.residual_rtol * scale:
         raise InconsistentCompoundValuesError(
@@ -436,43 +437,6 @@ def recover_singular_values(
             f"{policy.residual_rtol:.1e} * {scale:.3e}; values are not k-fold products"
         )
     return np.exp(x)
-
-
-class _IncidenceSolver(NamedTuple):
-    """Read-only solvers of the subset-incidence systems for one ``(r, k)``.
-
-    ``L`` is the float incidence matrix (:func:`incidence_matrix`),
-    ``pinv`` its pseudo-inverse (the least-squares solution of ``L x = y``
-    is ``pinv @ y``), and ``parity`` the GF(2) solve matrix of
-    :func:`gf2_solver` (``x = (parity @ b) & 1`` solves ``L x = b`` mod 2
-    whenever a solution exists).
-    """
-
-    L: np.ndarray
-    pinv: np.ndarray
-    parity: np.ndarray
-
-    def parity_solution(self, b: np.ndarray) -> np.ndarray:
-        """The GF(2) solution of ``L x = b``; raises when b is inconsistent."""
-        x = (self.parity @ b) & 1
-        if ((self.L @ x) % 2 != b).any():
-            raise SignAdjustmentFailedError("column sign parity system has no solution")
-        return x
-
-
-@lru_cache(maxsize=None)
-def _incidence_solver(r: int, k: int) -> _IncidenceSolver:
-    """The incidence solvers for ``(r, k)``, built once per process."""
-    return _solver(incidence_matrix(r, k).entries)
-
-
-def _solver(entries: np.ndarray) -> _IncidenceSolver:
-    """The read-only solvers of the 0/1 system ``entries``."""
-    L = entries.astype(float)
-    solver = _IncidenceSolver(L=L, pinv=np.linalg.pinv(L), parity=gf2_solver(entries))
-    for array in solver:
-        array.setflags(write=False)
-    return solver
 
 
 class _Design(NamedTuple):
@@ -484,14 +448,18 @@ class _Design(NamedTuple):
     i is the one element of ``sets[pairs[0, i]]`` that is not in
     ``sets[pairs[1, i]]``: for i < k the pair is ``({0..k-1}, {0..k} - {i})``,
     for i >= k it is ``({0..k-2, i}, {0..k-1})``.
-    ``solver`` solves the r x r incidence of the sets, which is invertible
-    over the reals and, over GF(2), has rank r at odd k and r - 1 at even k
-    (the global sign).
+    ``entries`` (r x r, uint8) is the incidence of the sets, which is
+    invertible over the reals and, over GF(2), has rank r at odd k and r - 1
+    at even k (the global sign).  ``inverse`` is its pseudo-inverse and
+    ``parity`` its GF(2) solve matrix (:func:`gf2_solver`): the pipeline's
+    one cached factorization of each system.  Every array is read-only.
     """
 
     sets: np.ndarray
     pairs: np.ndarray
-    solver: _IncidenceSolver
+    entries: np.ndarray
+    inverse: np.ndarray
+    parity: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +472,13 @@ def _design(r: int, k: int) -> _Design:
     np.put_along_axis(entries, sets, 1, axis=1)
     i = np.arange(r)
     pairs = np.stack((np.where(i < k, 0, np.where(i == k, 1, i)), np.where(i < k, k - i, 0)))
-    return _Design(sets=sets, pairs=pairs, solver=_solver(entries))
+    design = _Design(
+        sets=sets, pairs=pairs, entries=entries,
+        inverse=np.linalg.pinv(entries.astype(float)), parity=gf2_solver(entries),
+    )
+    for array in design:
+        array.setflags(write=False)
+    return design
 
 
 def _design_wedges(U: np.ndarray, k: int, r: int) -> np.ndarray:
@@ -802,18 +776,22 @@ def _design_values(
     """The ``singular_values`` step of both rungs: sigma and V's column flips.
 
     ``log |f_I| = sum_I log sigma`` is a square system with the design's
-    incidence, solved exactly, so there is no log-linear residual.  The sign
-    of ``f_I`` against ``c_I(V)``, read at ``f_I``'s largest entry S as
-    ``sign f_I[S] * sign det V[S, I]``, is the parity of the flips over I,
-    solved over GF(2); at even k that system has rank r - 1, which leaves
-    one sign condition that a non-compound can fail.
+    incidence, solved exactly by its cached ``inverse``, so there is no
+    log-linear residual.  The sign of ``f_I`` against ``c_I(V)``, read at
+    ``f_I``'s largest entry S as ``sign f_I[S] * sign det V[S, I]``, is the
+    parity of the flips over I, solved over GF(2) by the cached ``parity``;
+    at even k that system has rank r - 1, which leaves one sign condition
+    that a non-compound can fail (:class:`SignAdjustmentFailedError`).
     """
     design = _design(r, k)
-    sigma = np.exp(design.solver.pinv @ np.log(norms))
+    sigma = np.exp(design.inverse @ np.log(norms))
     rows = np.abs(f).argmax(axis=0)
     minors = V[_tuple_array(m, k)[rows][:, :, None], design.sets[:, None, :]]
-    negative = f[rows, np.arange(r)] * np.linalg.det(minors) < 0
-    return sigma, design.solver.parity_solution(negative.astype(np.uint8))
+    negative = (f[rows, np.arange(r)] * np.linalg.det(minors) < 0).astype(np.uint8)
+    flips = (design.parity @ negative) & 1
+    if ((design.entries @ flips) & 1 != negative).any():
+        raise SignAdjustmentFailedError("column sign parity system has no solution")
+    return sigma, flips
 
 
 def _verify(

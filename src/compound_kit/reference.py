@@ -12,8 +12,9 @@ right-hand signs through a parity system over GF(2)
 :func:`compound_kit.recovery.inverse_compound` never calls this module: it
 takes both frames from contractions of M instead.  The route stays as the
 oracle the tests cross-check that pipeline against, and as the paper's
-worked example in :func:`compound_kit.testkit.fixture_checks`.  Every name
-here is also importable from :mod:`compound_kit.recovery`.
+worked example in :func:`compound_kit.testkit.fixture_checks`.  Its names
+are imported from this module, or from :mod:`compound_kit` itself;
+:mod:`compound_kit.recovery` binds none of them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .numerics import (
     kernel_basis,
     subspace_intersection,
 )
+from .recovery import recover_singular_values
 
 __all__ = [
     "AlignedFactors",
@@ -208,9 +210,6 @@ def align_and_sign_adjust(
     product must change on the W side, and a parity system over GF(2)
     converts those subset constraints into per-column flips of W.
     """
-    # imported here: recovery re-exports this module's names at load
-    from .recovery import recover_singular_values
-
     V_hat = _as_float_matrix(V_hat, "V_hat")
     W_hat = _as_float_matrix(W_hat, "W_hat")
     L = _as_float_matrix(L, "L")

@@ -135,6 +135,8 @@ def test_missing_file_reports_path(tmp_path):
         ('{"rows": 2, "cols": 2, "data": [1,2,3]}', "length rows \\* cols = 4"),
         ('{"rows": 1, "cols": 2, "data": [1, "x"]}', "non-numeric entry"),
         ('{"rows": 1, "cols": 1, "data": [Infinity]}', "non-finite"),
+        ('{"rows": true, "cols": 2, "data": [1, 2]}', "positive integers"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="deeply-nested"),
     ],
 )
 def test_json_schema_errors(tmp_path, text, pattern):
@@ -348,6 +350,26 @@ def test_cli_version_exits_zero(capsys):
 def test_cli_missing_input_file_exits_3(tmp_path, capsys):
     assert main(["compound", "--in", str(tmp_path / "nope.csv"), "--k", "2"]) == 3
     assert "error: io-error:" in capsys.readouterr().err
+
+
+def test_cli_report_to_a_missing_directory_exits_3(tmp_path, capsys):
+    infile = _write(tmp_path, "m.csv", compound(random_rank_r(4, 4, 4, seed=21), 2))
+    report = tmp_path / "absent" / "r.json"
+    argv = ["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2", "--json-report"]
+    assert main(argv + [str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: io-error: {report}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", [["compound", "--k", "2"], ["inverse", "--n", "3", "--m", "3", "--k", "2"]]
+)
+def test_cli_non_utf8_input_exits_3(tmp_path, capsys, command):
+    infile = tmp_path / "m.csv"
+    infile.write_bytes(b"1,2,3\n4,\xff,6\n")
+    assert main(command + ["--in", str(infile)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: io-error: {infile}: not UTF-8 text") and "Traceback" not in err
 
 
 def test_cli_usage_error_exits_3(capsys):

@@ -930,7 +930,7 @@ def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, svds, monk
     assert len(calls) == svds
 
 
-def test_incidence_built_once_per_rank_and_grade(monkeypatch):
+def test_inverse_compound_builds_no_incidence(monkeypatch):
     built = []
 
     def counting(r, k):
@@ -938,7 +938,6 @@ def test_incidence_built_once_per_rank_and_grade(monkeypatch):
         return incidence_matrix(r, k)
 
     monkeypatch.setattr(recovery, "incidence_matrix", counting)
-    recovery._incidence_solver.cache_clear()
     # both rungs solve the r x r design, never the binom(r, k) incidence
     for handed_over in (False, True):
         with monkeypatch.context() as patch:
@@ -948,11 +947,6 @@ def test_incidence_built_once_per_rank_and_grade(monkeypatch):
             out = inverse_compound(compound(A, 3), 7, 6, 3).outcome
             assert np.linalg.norm(out.A - A) <= 1e-8 * np.linalg.norm(A)
     assert built == []
-    for seed in (73, 74):
-        sigma = np.linalg.svd(random_rank_r(7, 6, 5, seed=seed), compute_uv=False)[:5]
-        d = [np.prod(sigma[list(I)]) for I in combinations(range(5), 3)]
-        assert_allclose(recover_singular_values(d, 5, 3), sigma, rtol=1e-12)
-    assert built == [(5, 3)]
 
 
 def _gf2_reference(A, b):
@@ -988,27 +982,47 @@ def _gf2_reference(A, b):
 RANK_GRADE_PAIRS = [(r, k) for r in range(2, 10) for k in range(1, r)]
 
 
+def _design_flips(r, k, b):
+    """``_design_values``'s flips for sign conditions b: f and V read b's signs, sigma is 1."""
+    design = recovery._design(r, k)
+    lex = {T: row for row, T in enumerate(combinations(range(r), k))}
+    f = np.zeros((math.comb(r, k), r))
+    # each product peaks at its own set, where V = I has minor det I = 1
+    f[[lex[tuple(int(j) for j in I)] for I in design.sets], np.arange(r)] = 1.0 - 2.0 * b
+    sigma, flips = recovery._design_values(f, np.ones(r), np.eye(r), r, k, r)
+    assert np.array_equal(sigma, np.ones(r))
+    return flips
+
+
 @pytest.mark.parametrize("r,k", RANK_GRADE_PAIRS)
 def test_cached_parity_solver_matches_reference_elimination(r, k):
-    solver = recovery._incidence_solver(r, k)
+    # every right side of the design's parity system: the cached elimination
+    # agrees with the plain loop, and refuses exactly the inconsistent ones
+    entries = recovery._design(r, k).entries
+    refused = 0
+    for bits in range(2**r):
+        b = ((bits >> np.arange(r)) & 1).astype(np.uint8)
+        want = _gf2_reference(entries, b)
+        if want is None:
+            refused += 1
+            with pytest.raises(SignAdjustmentFailedError):
+                _design_flips(r, k, b)
+        else:
+            assert np.array_equal(_design_flips(r, k, b), want)
+    # over GF(2) the design has rank r at odd k and r - 1 at even k
+    assert refused == (2 ** (r - 1) if k % 2 == 0 else 0)
     L = incidence_matrix(r, k).entries
     rng = np.random.default_rng([r, k])
     for _ in range(25):
         b = ((L @ rng.integers(0, 2, size=r)) % 2).astype(np.uint8)
-        want = _gf2_reference(L, b)
-        assert np.array_equal(solver.parity_solution(b), want)
-        assert np.array_equal(gf2_solve(L, b), want)
+        assert np.array_equal(gf2_solve(L, b), _gf2_reference(L, b))
     refused = 0
     for _ in range(25):
         b = rng.integers(0, 2, size=L.shape[0]).astype(np.uint8)
         want = _gf2_reference(L, b)
-        if want is None:
-            refused += 1
-            with pytest.raises(SignAdjustmentFailedError):
-                solver.parity_solution(b)
-            assert gf2_solve(L, b) is None
-        else:
-            assert np.array_equal(solver.parity_solution(b), want)
+        refused += want is None
+        got = gf2_solve(L, b)
+        assert got is None if want is None else np.array_equal(got, want)
     if L.shape[0] > r + 1:
         # at least two rows beyond the rank: a random b is consistent at most 1 time in 4
         assert refused > 0
@@ -1016,17 +1030,17 @@ def test_cached_parity_solver_matches_reference_elimination(r, k):
 
 @pytest.mark.parametrize("r,k", RANK_GRADE_PAIRS)
 def test_cached_least_squares_matches_numerics(r, k):
-    solver = recovery._incidence_solver(r, k)
+    design = recovery._design(r, k)
     rng = np.random.default_rng([r, k, 1])
-    for y in (solver.L @ rng.uniform(-3, 3, size=r), rng.uniform(-3, 3, size=solver.L.shape[0])):
-        want = least_squares(incidence_matrix(r, k).entries, y).solution
-        got = solver.pinv @ y
+    for y in (design.entries @ rng.uniform(-3, 3, size=r), rng.uniform(-3, 3, size=r)):
+        want = least_squares(design.entries, y).solution
+        got = design.inverse @ y
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cached_incidence_arrays_are_read_only():
-    solver = recovery._incidence_solver(5, 2)
-    for array in solver:
+    design = recovery._design(5, 2)
+    for array in (design.entries, design.inverse, design.parity):
         with pytest.raises(ValueError):
             array[0, 0] = 0
 

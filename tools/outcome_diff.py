@@ -33,6 +33,13 @@ outcome is ``untagged:*`` in either tree is printed too, however many there
 are, with its kind, shape, k, ``rank_rtol`` and the exception's message.  The exit
 status is 1 when any field differs.
 
+Without ``--handover`` each worker also wraps ``recovery._contract`` and
+records rung 1's refusal of every input as ``tag: message``, with the
+numbers in the message masked as ``#``.  Per tree, every pair of that
+rung-1 reason and the input's final outcome-or-tag is counted, so that the
+inputs rung 2 answers and the refusals whose tag rung 2 changes are read
+off by cause.
+
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
 the worst relative error ``|A - source| / |source|`` of each tree's
@@ -50,6 +57,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +77,7 @@ KINDS = (
 FIELDS = ("outcome", "tag", "route", "inferred_r", "resample_count", "stages", "answer")
 SOURCED = ("exact", "graded", "repeated", "orthogonal", "rank-deficient", "scaled")
 SHOW = 5  # differing inputs printed
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
 def source(rng: np.random.Generator, n: int, m: int, spectrum: np.ndarray) -> np.ndarray:
@@ -156,10 +165,22 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
             raise ck.CompoundKitError("rung 1 refuses every input under --handover")
 
         ck.recovery._contract = refuse
+    else:
+        contract = ck.recovery._contract
+
+        def census(*args):
+            try:
+                return contract(*args)
+            except Exception as err:  # rung 1 recurses for M^T, so the outermost call records last
+                tag = getattr(err, "tag", f"untagged:{type(err).__name__}")
+                record["rung1"] = f"{tag}: {NUMBER.sub('#', str(err))}"
+                raise
+
+        ck.recovery._contract = census
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
-        record = dict.fromkeys(FIELDS + ("error", "message"))
+        record = dict.fromkeys(FIELDS + ("error", "message", "rung1"))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -296,6 +317,15 @@ def main() -> int:
         kind, _, n, m, k, rank_rtol, _ = inputs[i]
         print(f"  input {i} ({label}): {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: "
               f"{record['tag']}: {record['message']}")
+    if not args.handover:
+        for label, records in (("old", old), ("new", new)):
+            pairs = Counter(
+                (record["rung1"], outcome_or_tag(record)) for record in records if record["rung1"]
+            )
+            print(f"rung-1 refusals by reason and final outcome-or-tag ({label}, "
+                  f"{sum(pairs.values())} inputs):")
+            for (reason, final), count in sorted(pairs.items()):
+                print(f"  {count:6d}  {reason} -> {final}")
     return 1 if differing else 0
 
 
