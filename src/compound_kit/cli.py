@@ -44,16 +44,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     try:
-        return _dispatch(argv if argv is not None else sys.argv[1:])
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except CompoundKitError as exc:
         print(f"error: {exc.tag}: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-def _dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,37 +138,25 @@ def _cmd_compound(args) -> int:
     return 0
 
 
+_OUTCOME_LABELS = {
+    UniqueUpToSign: "unique",
+    RankOneFamily: "rank_one_family",
+    RankDeficientFamily: "rank_deficient",
+}
+
+
 def _cmd_inverse(args) -> int:
     M = parse_matrix(args.infile)
     policy = TolerancePolicy(rng_seed=_resolve_seed(args))
     result = inverse_compound(
         M, args.n, args.m, args.k, policy, canonical_sign=args.canonical_sign
     )
-    outcome = result.outcome
+    outcome, report = result.outcome, result.report
 
-    if isinstance(outcome, UniqueUpToSign):
-        label = "unique"
-        _emit_matrix(outcome.A, args.out)
-    elif isinstance(outcome, RankOneFamily):
-        label = "rank_one_family"
-        if args.out is None:
-            sys.stdout.write("U:\n" + render_matrix(outcome.U, "csv"))
-            sys.stdout.write("S:\n" + render_matrix(outcome.Sigma, "csv"))
-            sys.stdout.write("V:\n" + render_matrix(outcome.V, "csv"))
-        else:
-            fmt = "json" if args.out.lower().endswith(".json") else "csv"
-            write_matrix(args.out + ".U", outcome.U, fmt)
-            write_matrix(args.out + ".S", outcome.Sigma, fmt)
-            write_matrix(args.out + ".V", outcome.V, fmt)
-    else:
-        assert isinstance(outcome, RankDeficientFamily)
-        label = "rank_deficient"
-        _emit_matrix(outcome.representative(), args.out)
-
+    # the report goes first, so a report that cannot be written leaves no answer behind
     if args.json_report:
-        report = result.report
         payload = {
-            "outcome": label,
+            "outcome": _OUTCOME_LABELS[type(outcome)],
             "route": report.route,
             "sign_ambiguous": isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous,
             "residual": report.reconstruction_residual,
@@ -183,6 +166,17 @@ def _cmd_inverse(args) -> int:
             "timings_ms": {k: v * 1e3 for k, v in report.stage_timings.items()},
         }
         _write_text(args.json_report, json.dumps(payload, indent=2) + "\n")
+
+    if isinstance(outcome, RankOneFamily):
+        fmt = "json" if args.out and args.out.lower().endswith(".json") else "csv"
+        for name, X in zip("USV", (outcome.U, outcome.Sigma, outcome.V)):
+            if args.out is None:
+                sys.stdout.write(f"{name}:\n" + render_matrix(X, "csv"))
+            else:
+                write_matrix(f"{args.out}.{name}", X, fmt)
+    else:
+        A = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
+        _emit_matrix(A, args.out)
     return 0
 
 
@@ -264,17 +258,18 @@ def _cmd_bench(args) -> int:
     records = run_bench(sizes, args.k, args.reps, seed=_resolve_seed(args))
 
     stages = sorted({name for rec in records for name in rec.stage_timings})
-    print(f"{'n':>4} {'rep':>4} {'total_ms':>10}  " + "  ".join(f"{s}_ms" for s in stages))
-    for rec in records:
-        cells = "  ".join(f"{rec.stage_timings.get(s, 0.0) * 1e3:.3f}" for s in stages)
-        print(f"{rec.n:>4} {rec.rep:>4} {rec.total_s * 1e3:>10.3f}  {cells}")
-
+    # the CSV goes first, so a CSV that cannot be written leaves no table behind
     if args.csv:
         lines = ["n,rep,total_ms," + ",".join(f"{s}_ms" for s in stages)]
         for rec in records:
             cells = ",".join(f"{rec.stage_timings.get(s, 0.0) * 1e3:.6f}" for s in stages)
             lines.append(f"{rec.n},{rec.rep},{rec.total_s * 1e3:.6f},{cells}")
         _write_text(args.csv, "\n".join(lines) + "\n")
+
+    print(f"{'n':>4} {'rep':>4} {'total_ms':>10}  " + "  ".join(f"{s}_ms" for s in stages))
+    for rec in records:
+        cells = "  ".join(f"{rec.stage_timings.get(s, 0.0) * 1e3:.3f}" for s in stages)
+        print(f"{rec.n:>4} {rec.rep:>4} {rec.total_s * 1e3:>10.3f}  {cells}")
     return 0
 
 

@@ -56,6 +56,8 @@ __all__ = [
 # worst 1.4x on a 2 ms shape.  The model prices no intermediate start below
 # both ends, the LU stack (s0 = k) and the levels from X's rows (s0 = 1), on
 # any admissible shape up to 119 x 120, so compound() keeps only those two.
+# One pass over levels 2..k (:func:`_prices`) prices both, with their largest
+# array and widest column set, for the caps.
 _LU_CALL_NS = 6200.0
 _LU_MINOR_NS = 138.0
 _LU_ENTRY_NS = 18.6
@@ -67,42 +69,38 @@ _GATHER_STEP_NS = 6000.0
 _GATHER_ENTRIES = 2**14
 
 
-def _level_shape(n: int, m: int, k: int, s: int) -> tuple[int, int]:
-    """Rows and columns of level s: s-tuples over range(k-s, n) against s-tuples over range(m)."""
-    return math.comb(n - k + s, s), math.comb(m, s)
+class _Price(NamedTuple):
+    """What one kernel of compound() costs: modelled nanoseconds, largest array, widest column set.
+
+    ``largest`` counts the entries of the (rows, cols, k, k) block stack or of
+    the largest level; a level's index arrays have ``s`` entries per column.
+    The temporaries of a gathered level hold at most ``_GATHER_ENTRIES``
+    entries, far below any cap, and are not counted.
+    """
+
+    cost: float
+    largest: int
+    widest: int
 
 
-def _plan_cost(n: int, m: int, k: int, lu: bool) -> float:
-    """Modelled nanoseconds of compound() by the LU stack (``lu``) or by the Laplace levels."""
-    if lu:
-        rows, cols = _level_shape(n, m, k, k)
-        return _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * k**2)
-    cost = 0.0
+def _prices(n: int, m: int, k: int) -> tuple[_Price, _Price]:
+    """Prices of compound() for an n x m input by the Laplace levels 2..k and by the LU stack.
+
+    One pass over the levels: level s holds the s-tuples over range(k-s, n)
+    against the s-tuples over range(m), and level k's shape is the LU stack's.
+    """
+    cost, largest, widest = 0.0, 0, 0
     for s in range(2, k + 1):
-        rows, cols = _level_shape(n, m, k, s)
+        rows, cols = math.comb(n - k + s, s), math.comb(m, s)
         products = s * rows * cols
         if products <= _GATHER_ENTRIES:
             cost += _GATHER_STEP_NS + _GATHER_ENTRY_NS * products
         else:
             cost += _LAPLACE_ENTRY_NS * products + _LAPLACE_STEP_NS * s
-    return cost
-
-
-def _largest_array(n: int, m: int, k: int, lu: bool) -> int:
-    """Entries of the largest array compound() allocates by the LU stack (``lu``) or the levels.
-
-    That is the (rows, cols, k, k) block stack or the largest level; a
-    level's index arrays have ``s`` entries per column.  The temporaries of
-    a gathered level hold at most ``_GATHER_ENTRIES`` entries, far below any
-    cap, and are not counted.
-    """
-    if lu:
-        return math.comb(n, k) * math.comb(m, k) * k * k
-    largest = 0
-    for s in range(2, k + 1):
-        rows, cols = _level_shape(n, m, k, s)
         largest = max(largest, max(rows, s) * cols)
-    return largest
+        widest = max(widest, cols)
+    lu_cost = _LU_CALL_NS + rows * cols * (_LU_MINOR_NS + _LU_ENTRY_NS * k**2)
+    return _Price(cost, largest, widest), _Price(lu_cost, rows * cols * k * k, cols)
 
 
 class _Gather(NamedTuple):
@@ -142,23 +140,22 @@ def _compound_plan(n: int, m: int, k: int) -> tuple[_Level, ...]:
     The Laplace levels 2..k (:func:`_levels`), or no levels for the batched
     LU of all k x k blocks, whichever the cost model prices lower among
     those whose column sets stay within MAX_TUPLE_COUNT and whose largest
-    array stays within MAX_ARRAY_ENTRIES; InvalidArgumentError is raised,
-    before any array is allocated, when neither qualifies.
+    array stays within MAX_ARRAY_ENTRIES.  One pass over the levels
+    (:func:`_prices`) gives both kernels' cost, largest array and widest
+    column set; InvalidArgumentError is raised, before any array is
+    allocated, when neither kernel fits.
     """
     binom(m, k)  # the tagged tuple-cap error; binom(n, k) is no larger
+    levels, stack = _prices(n, m, k)
     fits = [
-        lu
-        for lu in (False, True)
-        if (lu or max(math.comb(m, s) for s in range(2, k + 1)) <= MAX_TUPLE_COUNT)
-        and _largest_array(n, m, k, lu) <= MAX_ARRAY_ENTRIES
+        p for p in (levels, stack) if p.widest <= MAX_TUPLE_COUNT and p.largest <= MAX_ARRAY_ENTRIES
     ]
     if not fits:
-        need = min(_largest_array(n, m, k, lu) for lu in (False, True))
         raise InvalidArgumentError(
-            f"compound of a {n} x {m} matrix at k={k} needs an array of {need} entries, "
-            f"above the cap of {MAX_ARRAY_ENTRIES}"
+            f"compound of a {n} x {m} matrix at k={k} needs an array of "
+            f"{min(levels.largest, stack.largest)} entries, above the cap of {MAX_ARRAY_ENTRIES}"
         )
-    return () if min(fits, key=lambda lu: _plan_cost(n, m, k, lu)) else _levels(n, m, k)
+    return _levels(n, m, k) if min(fits, key=lambda p: p.cost) is levels else ()
 
 
 def _levels(n: int, m: int, k: int, gather_entries: int = _GATHER_ENTRIES) -> tuple[_Level, ...]:

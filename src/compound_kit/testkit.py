@@ -18,7 +18,7 @@ import numpy as np
 from . import exterior, recovery
 from .combinat import IndexTuple, lex_tuples
 from .errors import InvalidArgumentError
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .numerics import DEFAULT_POLICY, TolerancePolicy, reduced_svd
 from .reference import align_and_sign_adjust, wedge_decompose
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -256,13 +256,7 @@ def fixture_checks(policy: TolerancePolicy = DEFAULT_POLICY) -> list[FixtureChec
         # both sides of the comparison were rounded to 2 decimals upstream of
         # the solve, and the solve amplifies that by |L^+|; 2e-2 covers it
         lambda: np.allclose(
-            np.exp(
-                np.linalg.lstsq(
-                    np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
-                    rec.expected["log_rhs"],
-                    rcond=None,
-                )[0]
-            ),
+            recovery.recover_singular_values(np.exp(rec.expected["log_rhs"]), 3, 2, policy),
             rec.expected["sigma"],
             rtol=0,
             atol=2e-2,
@@ -327,27 +321,22 @@ def _columns_match_up_to_sign(got: np.ndarray, want: np.ndarray, atol: float) ->
     )
 
 
-def _rank3_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    U, s, Vt = np.linalg.svd(M)
-    return U[:, :3], s[:3], Vt[:3].T
-
-
 def _run_aligned(M: np.ndarray):
     """Aligned (V_tilde, W_tilde) computed by the reference route from scratch on M."""
-    L, s, R = _rank3_svd(M)
-    V_hat = wedge_decompose(L, 4, 3, 2)
-    W_hat = wedge_decompose(R, 4, 3, 2)
-    aligned = align_and_sign_adjust(V_hat, W_hat, L, R, s, 2)
+    svd = reduced_svd(M)
+    V_hat = wedge_decompose(svd.left, 4, 3, 2)
+    W_hat = wedge_decompose(svd.right, 4, 3, 2)
+    aligned = align_and_sign_adjust(V_hat, W_hat, svd.left, svd.right, svd.sigma, 2)
     return aligned.V_tilde, aligned.W_tilde
 
 
 def _aligned_from_printed(rec: Fixture) -> np.ndarray:
     """W_tilde from the printed rounded V_hat/W_hat against the exact SVD of M."""
-    L, s, R = _rank3_svd(rec.inputs["M"])
+    svd = reduced_svd(rec.inputs["M"])
     # printed factors carry 2-decimal rounding, so sign matching cannot hold
     # at the production tolerance; the policy knobs are the sanctioned loosening
     loose = TolerancePolicy(sign_atol=0.1, residual_rtol=1e-2)
     aligned = align_and_sign_adjust(
-        rec.expected["V_hat"], rec.expected["W_hat"], L, R, s, 2, loose
+        rec.expected["V_hat"], rec.expected["W_hat"], svd.left, svd.right, svd.sigma, 2, loose
     )
     return aligned.W_tilde

@@ -357,8 +357,13 @@ def test_cli_report_to_a_missing_directory_exits_3(tmp_path, capsys):
     report = tmp_path / "absent" / "r.json"
     argv = ["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2", "--json-report"]
     assert main(argv + [str(report)]) == 3
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: io-error: {report}: ") and "Traceback" not in err
+    assert out == ""  # the report is written first, so no answer goes out before the error
+    answer = tmp_path / "a.csv"
+    assert main(argv + [str(report), "--out", str(answer)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not answer.exists()
 
 
 @pytest.mark.parametrize(
@@ -454,6 +459,15 @@ def test_cli_bench_smoke_with_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("n,rep,total_ms")
     assert len(lines) == 3  # header + n=3 + n=4
+
+
+def test_cli_bench_csv_to_a_missing_directory_exits_3(tmp_path, capsys):
+    csv_path = tmp_path / "absent" / "b.csv"
+    argv = ["bench", "--max-n", "3", "--k", "2", "--reps", "1", "--csv", str(csv_path)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: io-error: {csv_path}: ")
+    assert out == ""  # the CSV is written before the table is printed
 
 
 def test_cli_bench_rejects_bad_sizes(capsys):

@@ -1278,6 +1278,24 @@ def test_design_gate_refuses_non_compounds_before_composing():
         assert sorted(report.stage_timings) == ["frames", "preprocess"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: at even k with m = k + 1 every k-vector is a wedge, so the design "
+    "gate cannot refuse, and a non-compound fails the one free parity condition or verify "
+    "by chance",
+)
+def test_non_compounds_at_even_k_and_m_k_plus_one_get_one_tag():
+    # Gaussian 6 x 3 M at n = 4, m = 3, k = 2: neither rung can certify a
+    # preimage, and every refusal should carry the same tag
+    tags = set()
+    for seed in range(40):
+        M = np.random.default_rng(seed).standard_normal((6, 3))
+        with pytest.raises(CompoundKitError) as err:
+            inverse_compound(M, 4, 3, 2)
+        tags.add(err.value.tag)
+    assert len(tags) == 1, sorted(tags)
+
+
 def test_rung_one_compounds_only_narrow_frames(monkeypatch):
     # at 10 x 10, k = 5 the design needs compound(U[:, :6], 5); the one wide
     # compound is verify's, of the 10 x 10 candidate

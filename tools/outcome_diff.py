@@ -35,10 +35,10 @@ status is 1 when any field differs.
 
 Without ``--handover`` each worker also wraps ``recovery._contract`` and
 records rung 1's refusal of every input as ``tag: message``, with the
-numbers in the message masked as ``#``.  Per tree, every pair of that
-rung-1 reason and the input's final outcome-or-tag is counted, so that the
-inputs rung 2 answers and the refusals whose tag rung 2 changes are read
-off by cause.
+numbers in the message masked as ``#``.  Per tree, every triple of the
+input's corpus kind, that rung-1 reason and the input's final
+outcome-or-tag is counted, so that the inputs rung 2 answers and the
+refusals whose tag rung 2 changes are read off by kind and cause.
 
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
@@ -319,13 +319,14 @@ def main() -> int:
               f"{record['tag']}: {record['message']}")
     if not args.handover:
         for label, records in (("old", old), ("new", new)):
-            pairs = Counter(
-                (record["rung1"], outcome_or_tag(record)) for record in records if record["rung1"]
+            census = Counter(
+                (kind, record["rung1"], outcome_or_tag(record))
+                for record, (kind, *_) in zip(records, inputs) if record["rung1"]
             )
-            print(f"rung-1 refusals by reason and final outcome-or-tag ({label}, "
-                  f"{sum(pairs.values())} inputs):")
-            for (reason, final), count in sorted(pairs.items()):
-                print(f"  {count:6d}  {reason} -> {final}")
+            print(f"rung-1 refusals by kind, reason and final outcome-or-tag ({label}, "
+                  f"{sum(census.values())} inputs):")
+            for (kind, reason, final), count in sorted(census.items()):
+                print(f"  {count:6d}  {kind:16s} {reason} -> {final}")
     return 1 if differing else 0
 
 
