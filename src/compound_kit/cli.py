@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import CompoundKitError, InvalidArgumentError, NotCompoundDecomposableError
+from .errors import (
+    CompoundKitError, InvalidArgumentError, MatrixIOError, NotCompoundDecomposableError,
+)
 from .exterior import adjugate, adjugate_via_compound, compound
 from .matio import _write_text, parse_matrix, render_matrix, write_matrix
 from .numerics import TolerancePolicy
@@ -169,11 +171,18 @@ def _cmd_inverse(args) -> int:
 
     if isinstance(outcome, RankOneFamily):
         fmt = "json" if args.out and args.out.lower().endswith(".json") else "csv"
-        for name, X in zip("USV", (outcome.U, outcome.Sigma, outcome.V)):
-            if args.out is None:
-                sys.stdout.write(f"{name}:\n" + render_matrix(X, "csv"))
-            else:
-                write_matrix(f"{args.out}.{name}", X, fmt)
+        written = []
+        try:
+            for name, X in zip("USV", (outcome.U, outcome.Sigma, outcome.V)):
+                if args.out is None:
+                    sys.stdout.write(f"{name}:\n" + render_matrix(X, "csv"))
+                else:
+                    write_matrix(f"{args.out}.{name}", X, fmt)
+                    written.append(f"{args.out}.{name}")
+        except MatrixIOError:
+            for path in written:  # a family is written whole or not at all
+                os.remove(path)
+            raise
     else:
         A = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
         _emit_matrix(A, args.out)

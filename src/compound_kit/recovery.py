@@ -27,22 +27,24 @@ when it refuses.
    the end, so no stage sees extreme magnitudes).  The left frame is the
    top r left singular vectors of the contraction of M, and r is the rank
    of that contraction.  Rank r = k means rank one, and the family comes
-   from the same two contractions (:func:`_rank_one_family`).  The side
-   with the smaller unfolding is contracted (a choice made from the shape
-   alone): when that is M^T = compound(A^T, k), the answer is found and
-   verified for M^T and then transposed.
+   from that frame and one contraction of the right side
+   (:func:`_rank_one_family`).  The side with the smaller unfolding is
+   contracted (a choice made from the shape alone): when that is M^T =
+   compound(A^T, k), the answer is found and verified for M^T and then
+   transposed.
 
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
    any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
    among them; its time is then reported as ``contraction_attempt``.  The
    ``svd`` stage takes the compact SVD ``M = L diag(s) R^T``; its rank
    binom(r, k) gives r, and M is divided by ``s_1``.  Rank one calls the
-   rank-one family again, with the contraction of the one left singular
-   vector as U: that answers an M whose second direction lies between the
-   SVD's rank cutoff and the contraction's, and otherwise only gives rung
-   1's refusal its tag.  Otherwise the left frame is contracted from
-   the weighted factor ``L diag(sqrt(s))``, which separates ill-conditioned
-   sources better, and a failed check is the refusal, under its own tag.
+   rank-one family again, with the top k frame of the contraction of the
+   one left singular vector as U: that answers an M whose second direction
+   lies between the SVD's rank cutoff and the contraction's.  The family
+   takes no rank of either side's contraction; ``verify`` alone accepts or
+   refuses it.  Otherwise the left frame is contracted from the weighted
+   factor ``L diag(sqrt(s))``, which separates ill-conditioned sources
+   better, and a failed check is the refusal, under its own tag.
 
 The stages after the rank, for r > k:
 
@@ -553,8 +555,9 @@ def inverse_compound(
         (the check :func:`rank_one_inverse` shares), or if a nonzero M has
         numerical rank 0 under ``policy.rank_rtol``.
     NotCompoundDecomposableError
-        If the rank of M is not a binomial binom(r, k), or if the final
-        check fails (:class:`VerificationFailedError`).
+        If the rank of M is not a binomial binom(r, k), if a rank-one
+        family's representative does not reproduce M, or if the final
+        check of a unique answer fails (:class:`VerificationFailedError`).
     NumericalFailureError
         If a pipeline stage fails at the configured tolerances; in
         particular :class:`DecompositionFailedError` when a design product
@@ -608,7 +611,7 @@ def _contract(
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(M, unit, scale, frame[:, :k], m, k, policy, report)
+        return _rank_one_family(M, frame[:, :k], m, k, policy, report)
     if not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
 
@@ -645,7 +648,9 @@ def _svd_rung(
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     if svd.rank == 1:
-        return _svd_rank_one(M, svd, n, m, k, policy, report)
+        with _stage(report, "rank_one"):
+            U = _contraction_frame(svd.left, n, k)[0][:, :k]
+        return _rank_one_family(M, U, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
     scale = float(svd.sigma[0])
@@ -861,60 +866,48 @@ def rank_one_inverse(
 ) -> RankOneFamily:
     """Explicit preimage family of a rank-one compound.
 
-    A rank-one M factors as ``sigma * u @ v.T`` with unit u, v; both u and v
-    must be decomposable k-vectors, whose signed (k-1)-contractions give the
-    orthonormal factors U and V, and spreading ``sigma^(1/k)`` across a
-    diagonal produces one preimage.  All preimages differ by an inner
-    determinant-one factor T.
+    A rank-one M factors as ``sigma * u @ v.T`` with unit u, v.  U is the top
+    k frame of the signed (k-1)-contraction of u and V that of the right
+    side (:func:`_rank_one_family`); spreading ``sigma^(1/k)`` across a
+    diagonal produces one preimage, and all preimages differ by an inner
+    determinant-one factor T.  The family is returned only if its
+    representative reproduces M within ``residual_rtol``; otherwise u or v
+    is no wedge and :class:`NotCompoundDecomposableError` is raised.
     """
     M = _as_compound(M, n, m, k)
     svd = reduced_svd(M, policy)
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
-    return _svd_rank_one(M, svd, n, m, k, policy, RecoveryReport())
-
-
-def _svd_rank_one(
-    M: np.ndarray, svd: ReducedSvd, n: int, m: int, k: int, policy: TolerancePolicy,
-    report: RecoveryReport,
-) -> RankOneFamily:
-    """The family of an M whose SVD has rank one, of rung 2 and of :func:`rank_one_inverse`.
-
-    U comes from the contraction of the one left singular vector, not of M:
-    that answers an M whose second direction lies between the SVD's rank
-    cutoff and the contraction's.
-    """
-    with _stage(report, "rank_one"):
-        U = _rank_k_frame(svd.left, n, k, policy, "left")
-        scale = max(float(M.max()), -float(M.min()))
-        unit = M / scale
-    return _rank_one_family(M, unit, scale, U, m, k, policy, report)
+    U = _contraction_frame(svd.left, n, k)[0][:, :k]
+    return _rank_one_family(M, U, m, k, policy, RecoveryReport())
 
 
 def _rank_one_family(
-    M: np.ndarray, unit: np.ndarray, scale: float, U: np.ndarray, m: int, k: int,
-    policy: TolerancePolicy, report: RecoveryReport,
+    M: np.ndarray, U: np.ndarray, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
 ) -> RankOneFamily:
-    """The verified preimage family of a rank-one M, from one contraction of each side.
+    """The verified preimage family of a rank-one M, from its left frame U.
 
     A nonzero k-vector is decomposable exactly when its signed
     (k-1)-contraction has rank k, and the range is then its factor span
-    (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for
-    ``M = s u v^T`` the caller's U, the top k frame of the contraction of
-    ``unit = M / scale`` with ``scale = max|M|`` (rung 1) or of u itself
-    (:func:`_svd_rank_one`), spans u's factors, and V comes from the
-    contraction of the narrow ``F = unit^T compound(U, k)``, a multiple of
-    v.  The 1 x 1 core ``F^T compound(V, k) = compound(U, k)^T unit
-    compound(V, k)`` is then ``+-s / scale``: its sign goes into V's first
-    column and ``Sigma`` is ``|core|^(1/k) I``, rescaled by
-    ``scale^(1/k)``.  Raises NotCompoundDecomposableError when the right
-    contraction rank is not k or the representative does not reproduce M.
+    (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for a
+    true compound ``M = s u v^T`` the caller's U, the top k frame of the
+    contraction of ``M / max|M|`` (rung 1) or of u itself (rung 2 and
+    :func:`rank_one_inverse`), spans u's factors.  V, the top k frame of
+    the contraction of the narrow ``F = (M / max|M|)^T compound(U, k)``, a
+    multiple of v, spans v's.  The 1 x 1 core ``F^T compound(V, k)`` is then
+    ``+-s / max|M|``: its sign goes into V's first column and ``Sigma`` is
+    ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  No contraction rank is
+    tested: ``verify`` is the one judge, and raises
+    :class:`NotCompoundDecomposableError` when the representative does not
+    reproduce M within ``residual_rtol``.  When u or v is no wedge, no k
+    directions span its factors, so the representative misses M.
     """
     report.route = "rank-one"
     report.inferred_r = k
     with _stage(report, "rank_one"):
-        F = unit.T @ compound(U, k)
-        V = _rank_k_frame(F, m, k, policy, "right")
+        scale = max(float(M.max()), -float(M.min()))
+        F = (M / scale).T @ compound(U, k)
+        V = _contraction_frame(F, m, k)[0][:, :k]
         core = float(F[:, 0] @ compound(V, k)[:, 0])
         if core < 0:
             V[:, 0] = -V[:, 0]
@@ -922,18 +915,6 @@ def _rank_one_family(
     family = RankOneFamily(U=U, Sigma=Sigma, V=V)
     _verify(family.representative(), M, k, policy, report, NotCompoundDecomposableError)
     return family
-
-
-def _rank_k_frame(F: np.ndarray, n: int, k: int, policy: TolerancePolicy, side: str) -> np.ndarray:
-    """The top k left singular vectors of the contraction of F, whose rank must be k."""
-    frame, values = _contraction_frame(F, n, k)
-    rank = _numerical_rank(values, n, policy)
-    if rank != k:
-        raise NotCompoundDecomposableError(
-            f"{side} singular vector is not decomposable "
-            f"(contraction rank {rank}, expected {k})"
-        )
-    return frame[:, :k]
 
 
 def family_contains(B, family: RankOneFamily, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 from . import exterior, recovery
 from .combinat import IndexTuple, lex_tuples
 from .errors import InvalidArgumentError
+from .matio import parse_matrix
 from .numerics import DEFAULT_POLICY, TolerancePolicy, reduced_svd
 from .reference import align_and_sign_adjust, wedge_decompose
 
@@ -139,8 +140,7 @@ class Fixture:
 
 
 def _load_csv(name: str) -> np.ndarray:
-    data = np.loadtxt(_FIXTURE_DIR / name, delimiter=",", ndmin=2)
-    return data
+    return parse_matrix(_FIXTURE_DIR / name)
 
 
 def load_fixtures() -> dict[str, Fixture]:

@@ -214,6 +214,18 @@ def test_cli_inverse_rank_one_family_files(tmp_path):
     assert np.linalg.norm(compound(rep, 2) - M) <= 1e-8 * np.linalg.norm(M)
 
 
+def test_cli_inverse_family_write_failure_leaves_no_part_behind(tmp_path, capsys):
+    M = load_fixtures()["rank-one-3x3"].inputs["M"]
+    infile = _write(tmp_path, "m.csv", M)
+    out = tmp_path / "fam.csv"
+    (tmp_path / "fam.csv.S").mkdir()  # U is written, then S cannot be
+    argv = ["inverse", "--in", infile, "--n", "3", "--m", "3", "--k", "2", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: io-error:")
+    assert not (tmp_path / "fam.csv.U").exists()
+    assert not (tmp_path / "fam.csv.V").exists()
+
+
 def test_cli_inverse_rank_one_family_stdout(tmp_path, capsys):
     M = load_fixtures()["rank-one-3x3"].inputs["M"]
     infile = _write(tmp_path, "m.csv", M)

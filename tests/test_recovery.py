@@ -562,11 +562,23 @@ def test_rank_one_full_grade_square():
     assert not family_contains(np.diag([3.0, 2.0, 2.0]), family)
 
 
-def test_rank_one_rejects_non_decomposable_vector():
-    q = np.array([1.0, 0, 0, 0, 0, 1.0]) / np.sqrt(2)
-    M = np.outer(q, q)
+_NON_WEDGE = np.array([1.0, 0, 0, 0, 0, 1.0]) / np.sqrt(2)  # e0^e1 + e2^e3
+_WEDGE = compound(np.random.default_rng(5).standard_normal((4, 2)), 2)[:, 0]
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [(_NON_WEDGE, _NON_WEDGE), (_NON_WEDGE, _WEDGE), (_WEDGE, _NON_WEDGE)],
+    ids=["both-sides", "left-side", "right-side"],
+)
+def test_rank_one_rejects_non_decomposable_vector(u, v):
+    # one side that is no wedge is enough: its contraction has rank 4, so
+    # its top 2 frame spans no factors and verify refuses the family
+    M = np.outer(u, v)
     with pytest.raises(NotCompoundDecomposableError):
         rank_one_inverse(M, 4, 4, 2)
+    with pytest.raises(NotCompoundDecomposableError):
+        inverse_compound(M, 4, 4, 2)
 
 
 def test_rank_one_rejects_higher_rank():
@@ -1515,6 +1527,24 @@ def test_rank_one_with_a_second_direction_between_the_rank_cutoffs():
     family = rank_one_inverse(M, 5, 5, 2, policy)
     for got in (result.outcome, family):
         assert reconstruction_residual(got.representative(), M, 2) <= policy.residual_rtol
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 6, 1), (6, 2, 2)])
+def test_graded_one_row_compound_gets_its_family(n, m, seed):
+    # M is one row or one column, and the float minors of the graded source
+    # leave the contraction of the long side a (k+1)-th value above the rank
+    # cutoff but far below residual_rtol: the family passes verify
+    A = random_rank_r(n, m, 2, seed, spectrum=[1.0, 1e-8])
+    M = compound(A, 2)
+    policy = TolerancePolicy()
+    result = inverse_compound(M, n, m, 2, policy)
+    assert isinstance(result.outcome, RankOneFamily)
+    assert result.report.route == "rank-one"
+    family = rank_one_inverse(M, n, m, 2, policy)
+    for got in (result.outcome, family):
+        assert isinstance(got, RankOneFamily)
+        assert reconstruction_residual(got.representative(), M, 2) <= policy.residual_rtol
+        assert family_contains(A, got, policy)
 
 
 # --- the tag contract ---

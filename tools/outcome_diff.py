@@ -45,7 +45,10 @@ orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
 the worst relative error ``|A - source| / |source|`` of each tree's
 ``UniqueUpToSign`` answers is printed per kind, up to sign at even k, with
 both matrices divided by ``max|source|`` before the norms are taken; graded
-is printed also as error / cond.  Accuracy does not enter the exit status.
+is printed also as error / cond.  Every answer's
+``report.reconstruction_residual`` is recorded, and the worst of each
+tree's ``RankOneFamily`` answers is printed per kind.  Neither enters the
+exit status.
 Standard library and NumPy only.
 """
 
@@ -180,7 +183,7 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
-        record = dict.fromkeys(FIELDS + ("error", "message", "rung1"))
+        record = dict.fromkeys(FIELDS + ("error", "message", "rung1", "residual"))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -206,6 +209,7 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
                 route=report.route,
                 inferred_r=report.inferred_r,
                 resample_count=report.resample_count,
+                residual=report.reconstruction_residual,
                 stages=sorted(report.stage_timings),
                 answer=hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16],
             )
@@ -235,6 +239,15 @@ def worst_errors(records: list[dict], inputs: list[tuple]) -> dict[str, float]:
         worst[kind] = max(worst.get(kind, 0.0), record["error"])
         if kind == "graded":
             worst["graded/cond"] = max(worst.get("graded/cond", 0.0), record["error"] / truth[1])
+    return worst
+
+
+def worst_family_residuals(records: list[dict], inputs: list[tuple]) -> dict[str, float]:
+    """The worst reconstruction residual of the ``RankOneFamily`` answers, per kind."""
+    worst: dict[str, float] = {}
+    for record, (kind, *_) in zip(records, inputs):
+        if record["outcome"] == "RankOneFamily":
+            worst[kind] = max(worst.get(kind, 0.0), record["residual"])
     return worst
 
 
@@ -275,6 +288,11 @@ def main() -> int:
     print("worst relative error of the UniqueUpToSign answers against their source:")
     old_worst, new_worst = worst_errors(old, inputs), worst_errors(new, inputs)
     for key in ("exact", "graded", "graded/cond", *SOURCED[2:]):
+        old_value, new_value = old_worst.get(key, math.nan), new_worst.get(key, math.nan)
+        print(f"  {key:28s} old {old_value:.1e}  new {new_value:.1e}")
+    print("worst reconstruction residual of the RankOneFamily answers:")
+    old_worst, new_worst = worst_family_residuals(old, inputs), worst_family_residuals(new, inputs)
+    for key in [kind for kind in KINDS if kind in old_worst or kind in new_worst]:
         old_value, new_value = old_worst.get(key, math.nan), new_worst.get(key, math.nan)
         print(f"  {key:28s} old {old_value:.1e}  new {new_value:.1e}")
     differing = [
