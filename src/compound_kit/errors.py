@@ -85,10 +85,10 @@ class PreprocessingFailedError(NumericalFailureError):
 class DecompositionFailedError(NumericalFailureError):
     """The input did not decompose into the expected one-dimensional directions.
 
-    Raised when wedge decomposition finds no such directions, and when a
-    design product of the input lies farther than ``residual_rtol * |M|``
-    from a wedge (inside rung 1 that hands the input over, and rung 2 then
-    decides it under its own tag).
+    Raised by the pipeline when a design product of the input is zero or
+    two design products span the same directions (inside rung 1 that hands
+    the input over, and rung 2 then decides it under its own tag), and by
+    the reference route when wedge decomposition finds no such directions.
     """
 
     tag = "decomposition-failed"
@@ -107,7 +107,11 @@ class AlignmentFailedError(NumericalFailureError):
 
 
 class SignAdjustmentFailedError(NumericalFailureError):
-    """The parity system for column sign flips has no solution."""
+    """The parity system for column sign flips has no solution (reference route only).
+
+    The pipeline takes the particular solution instead, and its final check
+    refuses the answer of an M whose signs no compound gives.
+    """
 
     tag = "sign-adjustment-failed"
 

@@ -15,7 +15,7 @@ Every nonzero M takes one of two rungs.  Each finds its left frame and the
 rank r from a signed (k-1)-contraction (:func:`_contraction_frame`).  They
 differ in their scale, their first contraction, their draw and their right
 frame V.  Each calls the shared resampling loop (:func:`_resample`), then
-the shared design gate (:func:`_design_products`), its own V, the shared
+the shared design products (:func:`_design_products`), its own V, the shared
 ``singular_values`` step (:func:`_design_values`), and the shared tail that
 composes A and verifies it (:func:`_compose`).  :func:`inverse_compound`
 runs rung 1 (:func:`_contract`) and hands over to rung 2 (:func:`_svd_rung`)
@@ -56,23 +56,27 @@ The stages after the rank, for r > k:
   contracts the new M directly; rung 2 takes up to ``max_resample``, each
   with its own SVD.
 * ``frames``: r design products ``f_I = M^T c_I(U)``, for
-  ``I = {0..k-1}``, its k faces with k, and ``{0..k-2, i}`` for i > k, are
-  wedges whose unfoldings give the projectors onto ``span(v_i : i in I)``,
-  and a product that is no wedge is refused (:func:`_design_products`).
+  ``I = {0..k-1}``, its k faces with k, and ``{0..k-2, i}`` for i > k
+  (:func:`_design_products`).  For a compound they are wedges; nothing
+  here tests that, because ``verify`` refuses the A of a non-compound.
   Only ``compound(U[:, :k+1], k)`` is built, never a ``binom(r, k)``-wide
-  compound.  Rung 1 takes V from pairs of the projectors
-  (:func:`_complement_frame`); rung 2 takes the top r of the contraction of
-  ``R diag(sqrt(s))``, which keeps V on graded sources where the
-  complements lose it.
+  compound.  Rung 1 takes V from pairs of the projectors onto
+  ``span(v_i : i in I)`` that the products' unfoldings give
+  (:func:`_complement_frame`); rung 2 forms no projector and takes the top
+  r of the contraction of ``R diag(sqrt(s))``, which keeps V on graded
+  sources where the complements lose it.
 * ``singular_values`` (:func:`_design_values`): sigma from the
   log-magnitudes of the r design products, an r x r system solved exactly,
   and the column flips of V from their signs against V's k x k minors,
-  through a parity system over GF(2).  Both systems are solved with the
-  factorizations that :func:`_design` caches per ``(r, k)``.
+  through a parity system over GF(2), whose particular solution is taken
+  (a sign read no compound gives is left to ``verify``).  Both systems are
+  solved with the factorizations that :func:`_design` caches per
+  ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
-  the one place either rung verifies an answer of rank r > k; the rank-one
-  family verifies its representative the same way.
+  the one judge of an answer of rank r > k in either rung, as it is of the
+  rank-one family's representative: the other refusals on the way only
+  name a cause when a stage cannot go on.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors and aligns the directions against them, lives in
@@ -100,7 +104,6 @@ from .errors import (
     InvalidArgumentError,
     NotCompoundDecomposableError,
     PreprocessingFailedError,
-    SignAdjustmentFailedError,
     SingularInputError,
     VerificationFailedError,
 )
@@ -369,7 +372,7 @@ def _contraction_frame(F: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nd
     SVD of M.  Its right frame contracts no whole F: each of the r design
     products ``M^T c_I(U)`` is one wedge, whose unfolding is the case r = k
     above, k equal singular values whose frame spans the wedge's factors
-    (:func:`_design_products`).  Rung 2 contracts ``F = L diag(sqrt(s))``
+    (:func:`_complement_frame`).  Rung 2 contracts ``F = L diag(sqrt(s))``
     from the SVD ``M = L diag(s) R^T``, and ``R diag(sqrt(s))`` for its
     right frame, so ``F F^T = compound(U Sigma U^T, k)`` and ``g = sigma``.
     The gaps between the lam then grow with the other singular values
@@ -559,13 +562,12 @@ def inverse_compound(
         family's representative does not reproduce M, or if the final
         check of a unique answer fails (:class:`VerificationFailedError`).
     NumericalFailureError
-        If a pipeline stage fails at the configured tolerances; in
-        particular :class:`DecompositionFailedError` when a design product
-        lies farther than ``residual_rtol * |M|`` from a wedge, which is
-        what an input that no compound is close to fails first when
-        ``m > k + 1``.  At ``m <= k + 1`` every product is a wedge, and such
-        an input fails the sign parity system
-        (:class:`SignAdjustmentFailedError`) or the final check.
+        If a pipeline stage cannot go on at the configured tolerances:
+        :class:`PreprocessingFailedError` when no draw separates the source
+        singular values, :class:`DecompositionFailedError` when a design
+        product is zero or two of them span the same directions.  An input
+        of the right rank that no compound is close to gets an A anyway,
+        and the final check refuses it.
     """
     M = _as_compound(M, n, m, k)
     report = RecoveryReport()
@@ -629,8 +631,8 @@ def _contract(
             unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
     with _stage(report, "frames"):
-        f, norms, P = _design_products(M_tilde, U, m, k, r, policy)
-        V = _complement_frame(P, k, r)
+        f, norms = _design_products(M_tilde, U, k, r)
+        V = _complement_frame(f, norms, m, k, r)
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
     return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
@@ -642,7 +644,7 @@ def _svd_rung(
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
     One SVD of M, then the contraction of its weighted factors for both
-    frames, and rung 1's design gate and ``singular_values`` step; every
+    frames, and rung 1's design products and ``singular_values`` step; every
     failed check raises its tagged error.
     """
     with _stage(report, "svd"):
@@ -660,7 +662,7 @@ def _svd_rung(
         scaled = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
         Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, scaled, n, k, r, policy)
     with _stage(report, "frames"):
-        f, norms, _ = _design_products(M_tilde, U, m, k, r, policy)
+        f, norms = _design_products(M_tilde, U, k, r)
         V = _contraction_frame(right, m, k)[0][:, :r]
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
@@ -692,54 +694,34 @@ def _compose(
 
 
 def _design_products(
-    M_tilde: np.ndarray, U: np.ndarray, m: int, k: int, r: int, policy: TolerancePolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gate of both right sides: the r design products, their norms and projectors.
+    M_tilde: np.ndarray, U: np.ndarray, k: int, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The r design products of both right sides, and their norms.
 
     For each set I of :func:`_design`, ``f_I = M_tilde^T c_I(U)`` is the
     wedge of the ``w_i = A_tilde^T u_i`` over I, with A_tilde the source of
     ``M_tilde``; for exact singular vectors ``w_i = +-sigma_i v_i`` and
-    ``|f_I| = prod_I sigma``.  The signed (k-1)-unfolding ``E_I`` of
-    ``f_I / |f_I|`` has k equal singular values (:func:`_contraction_frame`
-    at r = k), so ``P_I = E_I E_I^T`` is the orthogonal projector onto
-    ``span(w_i : i in I)``; one batched product gives all r.
+    ``|f_I| = prod_I sigma``.  Whether the products really are wedges is
+    not tested here: a non-compound gives an A that ``verify`` refuses.
 
-    The gate: ``E_I - P_I E_I`` vanishes for a wedge, and its norm grows
-    linearly with the distance of ``f_I / |f_I|`` from one (the eigenvalues
-    of ``P_I`` miss 0 and 1 only quadratically, so ``|P_I^2 - P_I|`` would
-    not see a perturbation of 1e-6).  When ``|f_I| |E_I - P_I E_I|``
-    exceeds ``residual_rtol * |M_tilde|`` for some I, the input is no
-    compound, and :class:`DecompositionFailedError` is raised before
-    anything is composed.  At ``m <= k + 1`` every k-vector of ``R^m`` is a
-    wedge, so the gate cannot refuse there, and the parity system or
-    ``verify`` is the first check that can.
-
-    Returns ``(f, norms, P)``: the products as the columns of f (m_k x r,
-    ``m_k = binom(m, k)``), their norms, and the r projectors (r x m x m).
+    Returns ``(f, norms)``: the products as the columns of f (m_k x r,
+    ``m_k = binom(m, k)``) and their norms; a zero product raises
+    :class:`DecompositionFailedError`.
     """
     f = M_tilde.T @ _design_wedges(U, k, r)
     norms = np.sqrt((f * f).sum(axis=0))
     if not norms.all():
         raise DecompositionFailedError("a design product of M is zero")
-    # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
-    # products below read these strides, and a C-ordered copy would round
-    # some of them differently
-    E = _signed_take(f / norms, _signed_contraction(m, k)).transpose(2, 0, 1)
-    P = E @ E.transpose(0, 2, 1)
-    outside = E - P @ E
-    defect = norms * np.sqrt((outside * outside).sum(axis=(1, 2)))
-    limit = policy.residual_rtol * float(np.linalg.norm(M_tilde))
-    worst = float(defect.max())
-    if not worst <= limit:
-        raise DecompositionFailedError(
-            f"a design product lies {worst:.3e} from a wedge, more than "
-            f"{policy.residual_rtol:.1e} * |M| = {limit:.3e}"
-        )
-    return f, norms, P
+    return f, norms
 
 
-def _complement_frame(P: np.ndarray, k: int, r: int) -> np.ndarray:
-    """Rung 1's right frame V, from the projectors of :func:`_design_products`.
+def _complement_frame(f: np.ndarray, norms: np.ndarray, m: int, k: int, r: int) -> np.ndarray:
+    """Rung 1's right frame V, from the design products of :func:`_design_products`.
+
+    For a wedge ``f_I``, the signed (k-1)-unfolding ``E_I`` of
+    ``f_I / |f_I|`` has k equal singular values (:func:`_contraction_frame`
+    at r = k), so ``P_I = E_I E_I^T`` is the orthogonal projector onto
+    ``span(w_i : i in I)``; one batched product gives all r.
 
     For each design pair with ``outer - inner = {i}``, the range of
     ``P_outer (I - P_inner)`` is the direction of ``span(outer)`` orthogonal
@@ -757,6 +739,11 @@ def _complement_frame(P: np.ndarray, k: int, r: int) -> np.ndarray:
     on graded sources these complements lose V where that contraction keeps
     it.
     """
+    # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
+    # products below read these strides, and a C-ordered copy would round
+    # some of them differently
+    E = _signed_take(f / norms, _signed_contraction(m, k)).transpose(2, 0, 1)
+    P = E @ E.transpose(0, 2, 1)
     outer, inner = P[_design(r, k).pairs]
     rank_one = outer - outer @ inner
     peak = np.diagonal(rank_one, axis1=1, axis2=2).argmax(axis=1)
@@ -784,19 +771,19 @@ def _design_values(
     incidence, solved exactly by its cached ``inverse``, so there is no
     log-linear residual.  The sign of ``f_I`` against ``c_I(V)``, read at
     ``f_I``'s largest entry S as ``sign f_I[S] * sign det V[S, I]``, is the
-    parity of the flips over I, solved over GF(2) by the cached ``parity``;
-    at even k that system has rank r - 1, which leaves one sign condition
-    that a non-compound can fail (:class:`SignAdjustmentFailedError`).
+    parity of the flips over I, solved over GF(2) by the cached ``parity``.
+    At odd k that system has full rank.  At even k its one free direction is
+    the global sign, so a compound always meets the one condition left; its
+    particular solution is taken whether or not the signs meet it, and a
+    sign read that does not means M has no preimage, which ``verify``
+    refuses.
     """
     design = _design(r, k)
     sigma = np.exp(design.inverse @ np.log(norms))
     rows = np.abs(f).argmax(axis=0)
     minors = V[_tuple_array(m, k)[rows][:, :, None], design.sets[:, None, :]]
     negative = (f[rows, np.arange(r)] * np.linalg.det(minors) < 0).astype(np.uint8)
-    flips = (design.parity @ negative) & 1
-    if ((design.entries @ flips) & 1 != negative).any():
-        raise SignAdjustmentFailedError("column sign parity system has no solution")
-    return sigma, flips
+    return sigma, (design.parity @ negative) & 1
 
 
 def _verify(

@@ -408,16 +408,16 @@ def test_cli_non_binomial_rank_exits_1(tmp_path, capsys):
     assert "error: not-compound-decomposable:" in capsys.readouterr().err
 
 
-def test_cli_non_compound_full_rank_exits_2(tmp_path, capsys):
-    # full rank 6 infers r = 4 but the columns are not wedges, so a numerical
-    # stage fails downstream
+def test_cli_non_compound_full_rank_exits_1(tmp_path, capsys):
+    # full rank 6 infers r = 4 but the columns are not wedges, so the
+    # composed candidate misses M and verify refuses it
     rng = np.random.default_rng(31)
     X = rng.standard_normal((6, 6))
     M = X @ X.T + 6.0 * np.eye(6)
     infile = _write(tmp_path, "m.csv", M)
-    assert main(["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2"]) == 2
+    assert main(["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: verification-failed:")
 
 
 def test_cli_seed_env_var_is_used(tmp_path, monkeypatch):

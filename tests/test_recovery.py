@@ -19,7 +19,6 @@ from compound_kit import (
     PreprocessingFailedError,
     RankDeficientFamily,
     RankOneFamily,
-    SignAdjustmentFailedError,
     TolerancePolicy,
     UniqueUpToSign,
     VerificationFailedError,
@@ -484,9 +483,7 @@ def test_inverse_rejects_non_compound_rank():
     rng = np.random.default_rng(19)
     M = rng.standard_normal((6, 6))  # rank 6 = binom(4,2): passes rank gate,
     M = M @ M.T + 6 * np.eye(6)  # but columns are nowhere near wedges
-    from compound_kit import DecompositionFailedError
-
-    with pytest.raises((NotCompoundDecomposableError, DecompositionFailedError)):
+    with pytest.raises(VerificationFailedError):
         inverse_compound(M, 4, 4, 2)
 
 
@@ -1009,20 +1006,21 @@ def _design_flips(r, k, b):
 @pytest.mark.parametrize("r,k", RANK_GRADE_PAIRS)
 def test_cached_parity_solver_matches_reference_elimination(r, k):
     # every right side of the design's parity system: the cached elimination
-    # agrees with the plain loop, and refuses exactly the inconsistent ones
+    # agrees with the plain loop, and its flips fail exactly the inconsistent
+    # ones, which verify then refuses
     entries = recovery._design(r, k).entries
-    refused = 0
+    inconsistent = 0
     for bits in range(2**r):
         b = ((bits >> np.arange(r)) & 1).astype(np.uint8)
         want = _gf2_reference(entries, b)
+        flips = _design_flips(r, k, b)
         if want is None:
-            refused += 1
-            with pytest.raises(SignAdjustmentFailedError):
-                _design_flips(r, k, b)
+            inconsistent += 1
+            assert not np.array_equal((entries @ flips) & 1, b)
         else:
-            assert np.array_equal(_design_flips(r, k, b), want)
+            assert np.array_equal(flips, want)
     # over GF(2) the design has rank r at odd k and r - 1 at even k
-    assert refused == (2 ** (r - 1) if k % 2 == 0 else 0)
+    assert inconsistent == (2 ** (r - 1) if k % 2 == 0 else 0)
     L = incidence_matrix(r, k).entries
     rng = np.random.default_rng([r, k])
     for _ in range(25):
@@ -1244,8 +1242,8 @@ def test_design_right_side_reproduces_the_source(r):
             U, sigma, Vt = np.linalg.svd(A)
             U = U[:, :r] * rng.choice([-1.0, 1.0], size=r)
             M = compound(A, k)
-            f, norms, P = recovery._design_products(M, U, m, k, r, policy)
-            V = recovery._complement_frame(P, k, r)
+            f, norms = recovery._design_products(M, U, k, r)
+            V = recovery._complement_frame(f, norms, m, k, r)
             got, flips = recovery._design_values(f, norms, V, m, k, r)
             assert_allclose(got, sigma[:r], rtol=1e-12)
             assert_allclose(np.abs(np.sum(V * Vt[:r].T, axis=0)), 1.0, rtol=0, atol=1e-12)
@@ -1272,10 +1270,10 @@ def test_design_follows_a_rotated_left_frame(n, m, cond):
         assert sign_error(result.outcome.A, A) <= 1e-9
 
 
-def test_design_gate_refuses_non_compounds_before_composing():
+def test_rung_one_refuses_non_compounds_through_verify():
     # inputs whose contraction rank passes: a perturbed compound, a Gaussian
-    # M and a rank-2 M; the design products are no wedges, so rung 1 hands
-    # over from the frames stage, without composing or verifying
+    # M and a rank-2 M; the design products are no wedges, and nothing but
+    # verify tests that, so rung 1 composes an A and verify refuses it
     rng = np.random.default_rng(127)
     exact = compound(rng.standard_normal((5, 5)), 2)
     noise = rng.standard_normal(exact.shape)
@@ -1285,20 +1283,17 @@ def test_design_gate_refuses_non_compounds_before_composing():
         rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10)),
     ):
         report = recovery.RecoveryReport()
-        with pytest.raises(DecompositionFailedError, match="from a wedge"):
+        with pytest.raises(VerificationFailedError, match="reconstruction residual"):
             recovery._contract(M, 5, 5, 2, TolerancePolicy(), report)
-        assert sorted(report.stage_timings) == ["frames", "preprocess"]
+        assert sorted(report.stage_timings) == [
+            "compose", "frames", "preprocess", "singular_values", "verify",
+        ]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 5: at even k with m = k + 1 every k-vector is a wedge, so the design "
-    "gate cannot refuse, and a non-compound fails the one free parity condition or verify "
-    "by chance",
-)
 def test_non_compounds_at_even_k_and_m_k_plus_one_get_one_tag():
-    # Gaussian 6 x 3 M at n = 4, m = 3, k = 2: neither rung can certify a
-    # preimage, and every refusal should carry the same tag
+    # Gaussian 6 x 3 M at n = 4, m = 3, k = 2: every k-vector of R^3 is a
+    # wedge and one parity condition is free, so whether the signs read
+    # consistently is chance; verify refuses every composed A alike
     tags = set()
     for seed in range(40):
         M = np.random.default_rng(seed).standard_normal((6, 3))
@@ -1306,6 +1301,27 @@ def test_non_compounds_at_even_k_and_m_k_plus_one_get_one_tag():
             inverse_compound(M, 4, 3, 2)
         tags.add(err.value.tag)
     assert len(tags) == 1, sorted(tags)
+
+
+@pytest.mark.parametrize("n,m,k", [(4, 3, 2), (5, 3, 2), (6, 3, 2), (5, 4, 3), (6, 4, 3), (5, 5, 2)])
+def test_non_compound_gets_the_tag_of_its_transpose(n, m, k):
+    # M^T is the compound of A^T whenever M is that of A, so a non-compound
+    # and its transpose are refused alike: Gaussian M and compounds
+    # perturbed by 1e-6, on shapes where a one-sided test would see one
+    # side's products as wedges and the other's not
+    for seed in range(20):
+        rng = np.random.default_rng([n, m, k, seed])
+        exact = compound(rng.standard_normal((n, m)), k)
+        noise = rng.standard_normal(exact.shape)
+        for M in (
+            rng.standard_normal(exact.shape),
+            exact + 1e-6 * np.linalg.norm(exact) / np.linalg.norm(noise) * noise,
+        ):
+            with pytest.raises(CompoundKitError) as err:
+                inverse_compound(M, n, m, k)
+            with pytest.raises(CompoundKitError) as err_t:
+                inverse_compound(M.T, m, n, k)
+            assert err.value.tag == err_t.value.tag, (seed, err.value, err_t.value)
 
 
 def test_rung_one_compounds_only_narrow_frames(monkeypatch):
@@ -1328,7 +1344,7 @@ def test_rung_one_compounds_only_narrow_frames(monkeypatch):
 
 
 def test_rung_two_compounds_only_narrow_frames(monkeypatch):
-    # handed over, the SVD route shares the design gate, so it too builds
+    # handed over, the SVD route shares the design products, so it too builds
     # only compound(U[:, :6], 5) and verify's compound of the candidate
     shapes = []
 
