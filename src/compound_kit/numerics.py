@@ -50,7 +50,9 @@ class TolerancePolicy:
         Attempts allowed when drawing random change-of-basis matrices.
     rng_seed : int
         Seed for all randomness; identical inputs and policy give
-        bit-identical results.
+        bit-identical results.  Preprocessing keeps what it derives from
+        each random matrix, keyed by that matrix's bytes, so a recovery that
+        draws the same matrix again reuses it.
     """
 
     rank_rtol: float = 1e-10
@@ -68,6 +70,7 @@ class TolerancePolicy:
             raise InvalidArgumentError("max_resample must be at least 1")
 
     def rng(self) -> np.random.Generator:
+        """A fresh generator for the policy's stream: each call replays the same draws."""
         return np.random.default_rng(self.rng_seed)
 
 

@@ -54,7 +54,9 @@ The stages after the rank, for r > k:
   replaced by ``compound(Q, k) @ M`` for a random Q (:func:`_resample`, the
   loop of :func:`preprocess_distinct`).  Rung 1 takes one draw, which
   contracts the new M directly; rung 2 takes up to ``max_resample``, each
-  with its own SVD.
+  with its own SVD.  Each Q comes from a fresh ``policy.rng()``, so every
+  call draws the same ones; the singular values of Q and ``compound(Q, k)``
+  depend on nothing else, and are kept by Q's bytes (:func:`_kept_draw`).
 * ``frames``: r design products ``f_I = M^T c_I(U)``, for
   ``I = {0..k-1}``, its k faces with k, and ``{0..k-2, i}`` for i > k
   (:func:`_design_products`).  For a compound they are wedges; nothing
@@ -254,7 +256,8 @@ def preprocess_distinct(
     which are distinct exactly when the source values are: consecutive
     relative gaps must reach ``gap_rtol``.  When they do not, M is replaced
     by ``compound(Q, k) @ M``, the compound of ``Q @ A``, for random square
-    Q.  Q = I and ``used=False`` when no resampling was needed.  This is the
+    Q, returned as the caller's own copy of the kept draw (:func:`_kept_draw`).
+    Q = I and ``used=False`` when no resampling was needed.  This is the
     preprocessing of the SVD route (rung 2) of :func:`inverse_compound`,
     the same loop with the same draws.
     """
@@ -270,7 +273,7 @@ def preprocess_distinct(
         return PreprocessResult(np.eye(n), M, False, 0)
     r = infer_base_rank(svd.rank, k)
     Q, M_tilde, resamples, _ = _weighted_resample(M, svd, n, k, r, policy)
-    return PreprocessResult(Q, M_tilde, resamples > 0, resamples)
+    return PreprocessResult(np.eye(n) if Q is None else Q.copy(), M_tilde, resamples > 0, resamples)
 
 
 def _weighted_resample(
@@ -308,25 +311,27 @@ def _resample(
     ``gap_rtol``, M is replaced by ``compound(Q, k) @ M`` for random n x n Q
     drawn from ``policy.rng()``, skipping essentially singular draws, and
     ``draw(M_tilde)`` gives the same tuple for it, or None when the draw is
-    not usable.  Rung 1 draws ``(U, values)`` by contracting ``M_tilde``
-    itself (:func:`_contract`), rung 2 and :func:`preprocess_distinct` draw
-    ``(U, values, right)`` through :func:`_weighted_resample`.
+    not usable.  Q's singular values and compound come from
+    :func:`_kept_draw`.  Rung 1 draws ``(U, values)`` by contracting
+    ``M_tilde`` itself (:func:`_contract`), rung 2 and
+    :func:`preprocess_distinct` draw ``(U, values, right)`` through
+    :func:`_weighted_resample`.
 
-    Returns ``(Q, M_tilde, resamples, found)``, with Q the identity and
-    ``resamples`` 0 when M needed no draw; raises
+    Returns ``(Q, M_tilde, resamples, found)``, with Q read-only, or None
+    and ``resamples`` 0 when M needed no draw; raises
     :class:`PreprocessingFailedError` after ``draws`` draws.
     """
     best_gap = _min_gap(first[1])
     if best_gap >= policy.gap_rtol:
-        return np.eye(n), M, 0, first
+        return None, M, 0, first
 
+    kept = _kept_draw if math.comb(n, k) <= _CACHED_DRAW_ROWS else _kept_draw.__wrapped__
     rng = policy.rng()
     for attempt in range(1, draws + 1):
-        Q = rng.standard_normal((n, n))
-        q_sigma = np.linalg.svd(Q, compute_uv=False)
+        Q, q_sigma, compound_q = kept(rng.standard_normal((n, n)).tobytes(), n, k)
         if _numerical_rank(q_sigma, n, policy) < n:
             continue  # essentially singular draw; try again
-        M_tilde = compound(Q, k) @ M
+        M_tilde = compound_q @ M
         found = draw(M_tilde)
         if found is None:
             continue
@@ -338,6 +343,31 @@ def _resample(
         f"no draw separated the source singular values in {draws} attempts "
         f"(best relative gap {best_gap:.3e} < {policy.gap_rtol:.3e})"
     )
+
+
+#: Largest ``binom(n, k)`` whose draws :func:`_kept_draw` keeps; larger
+#: ones are built afresh on each call.  With ``maxsize`` 32 the cache then
+#: holds at most 32 * 256^2 float64 entries, 16 MiB.  At n = 10 the
+#: benchmark's largest, k = 5, has 252 rows.
+_CACHED_DRAW_ROWS = 256
+
+
+@lru_cache(maxsize=32)
+def _kept_draw(q: bytes, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n float64 Q whose bytes are ``q``, its singular values and ``compound(Q, k)``.
+
+    They depend on nothing but Q and k, so they are kept by Q's bytes: a
+    recovery that draws the same Q, as every recovery under one seed and
+    shape does, reuses them.  All three are read-only.  Each entry holds
+    one ``binom(n, k)``-square compound; :func:`_resample` keeps only draws
+    of at most :data:`_CACHED_DRAW_ROWS` rows, which bounds the cache at
+    16 MiB.
+    """
+    Q = np.frombuffer(q).reshape(n, n)
+    drawn = Q, np.linalg.svd(Q, compute_uv=False), compound(Q, k)
+    for array in drawn[1:]:
+        array.setflags(write=False)
+    return drawn
 
 
 def _min_gap(values: np.ndarray) -> float:
@@ -508,6 +538,11 @@ def _design_wedges(U: np.ndarray, k: int, r: int) -> np.ndarray:
     return np.hstack((head, _signed_take(w, _signed_wedge(n, k)) @ U[:, k + 1 : r]))
 
 
+def _peak(M: np.ndarray) -> float:
+    """``max|M|``, taken without forming ``|M|``."""
+    return max(float(M.max()), -float(M.min()))
+
+
 def _as_compound(M, n: int, m: int, k: int) -> np.ndarray:
     """M as a float matrix, checked to have the shape of the k-th compound of an n x m source."""
     M = _as_float_matrix(M, "M")
@@ -571,19 +606,20 @@ def inverse_compound(
     """
     M = _as_compound(M, n, m, k)
     report = RecoveryReport()
-    if not np.any(M):
+    peak = _peak(M)
+    if peak == 0.0:
         # every matrix of rank below k has the zero compound
         report.route = "zero"
         report.inferred_r = k
         return RecoveryResult(outcome=RankDeficientFamily(n=n, m=m, k=k), report=report)
     start = time.perf_counter()
     try:
-        outcome = _contract(M, n, m, k, policy, report)
+        outcome = _contract(M, peak, n, m, k, policy, report)
     except CompoundKitError:
         outcome = None  # every refusal of rung 1 hands over; rung 2 decides under its own tags
     if outcome is None:
         report = RecoveryReport(stage_timings={"contraction_attempt": time.perf_counter() - start})
-        outcome = _svd_rung(M, n, m, k, policy, report)
+        outcome = _svd_rung(M, peak, n, m, k, policy, report)
     if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
         # compound(-A, k) = compound(A, k) exactly at even k, so the
         # verified residual holds for the flipped answer too
@@ -592,28 +628,29 @@ def inverse_compound(
 
 
 def _contract(
-    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
+    M: np.ndarray, peak: float, n: int, m: int, k: int, policy: TolerancePolicy,
+    report: RecoveryReport,
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 1 of :func:`inverse_compound`: the verified answer from contractions of M itself.
 
-    The side with the smaller unfolding is contracted: when that is M^T =
-    compound(A^T, k), the answer for M^T is found and transposed.  Every
-    failed check raises its tagged error, which hands the input over; a
-    contraction rank r outside ``k <= r <= min(n, m)`` raises
+    ``peak`` is ``max|M|``, taken once per recovery; M is contracted as
+    ``M / peak``.  The side with the smaller unfolding is contracted: when
+    that is M^T = compound(A^T, k), the answer for M^T is found and
+    transposed.  Every failed check raises its tagged error, which hands the
+    input over; a contraction rank r outside ``k <= r <= min(n, m)`` raises
     :class:`NotCompoundDecomposableError`.
     """
     if k > 1 and m > n:  # the side with more rows has the smaller unfolding
-        found = _contract(M.T, m, n, k, policy, report)
+        found = _contract(M.T, peak, m, n, k, policy, report)
         if isinstance(found, RankOneFamily):
             return RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
         return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous)
-    scale = max(float(M.max()), -float(M.min()))
     with _stage(report, "preprocess"):
-        unit = M / scale
+        unit = M / peak
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(M, frame[:, :k], m, k, policy, report)
+        return _rank_one_family(M, peak, frame[:, :k], m, k, policy, report)
     if not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
 
@@ -635,24 +672,27 @@ def _contract(
         V = _complement_frame(f, norms, m, k, r)
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
-    return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
+    return _compose(M, peak, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
 def _svd_rung(
-    M: np.ndarray, n: int, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
+    M: np.ndarray, peak: float, n: int, m: int, k: int, policy: TolerancePolicy,
+    report: RecoveryReport,
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
     One SVD of M, then the contraction of its weighted factors for both
     frames, and rung 1's design products and ``singular_values`` step; every
-    failed check raises its tagged error.
+    failed check raises its tagged error.  M is scaled by its largest
+    singular value; ``peak``, ``max|M|``, serves the rank-one family and
+    ``verify``.
     """
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
     if svd.rank == 1:
         with _stage(report, "rank_one"):
             U = _contraction_frame(svd.left, n, k)[0][:, :k]
-        return _rank_one_family(M, U, m, k, policy, report)
+        return _rank_one_family(M, peak, U, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
     scale = float(svd.sigma[0])
@@ -666,20 +706,21 @@ def _svd_rung(
         V = _contraction_frame(right, m, k)[0][:, :r]
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
-    return _compose(M, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
+    return _compose(M, peak, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
 def _compose(
-    M: np.ndarray, scale: float, Q: np.ndarray, resamples: int, U: np.ndarray, V: np.ndarray,
-    sigma: np.ndarray, flips: np.ndarray, k: int, policy: TolerancePolicy, report: RecoveryReport,
+    M: np.ndarray, peak: float, scale: float, Q: np.ndarray | None, resamples: int,
+    U: np.ndarray, V: np.ndarray, sigma: np.ndarray, flips: np.ndarray, k: int,
+    policy: TolerancePolicy, report: RecoveryReport,
 ) -> UniqueUpToSign:
     """The tail both rungs share: A from the frames and sigma, verified against M.
 
     The rung resampled ``M / scale`` into ``compound(Q, k) @ M / scale``
-    (Q the identity when ``resamples`` is 0), and its right side gave the
-    right frame V, sigma and the column flips of V for that.  A is composed
-    from them, undoing Q and the scale, and :func:`_verify` checks it
-    against M.
+    (no Q when ``resamples`` is 0), and its right side gave the right frame
+    V, sigma and the column flips of V for that.  A is composed from them,
+    undoing Q and the scale, and :func:`_verify` checks it against M, whose
+    ``max|M|`` is ``peak``.
     """
     report.inferred_r = sigma.size
     report.preprocessing_used = resamples > 0
@@ -689,7 +730,7 @@ def _compose(
         if resamples:
             A = np.linalg.solve(Q, A)
         A *= scale ** (1.0 / k)
-    _verify(A, M, k, policy, report)
+    _verify(A, M, peak, k, policy, report)
     return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 
 
@@ -789,14 +830,18 @@ def _design_values(
 def _verify(
     candidate: np.ndarray,
     M: np.ndarray,
+    peak: float,
     k: int,
     policy: TolerancePolicy,
     report: RecoveryReport,
     error: type[CompoundKitError] = VerificationFailedError,
 ) -> None:
-    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M, or ``error`` is raised."""
+    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M, or ``error`` is raised.
+
+    ``peak`` is ``max|M|``, taken once per recovery.
+    """
     with _stage(report, "verify"):
-        residual = _residual(candidate, M, k)
+        residual = _residual(candidate, M, peak, k)
         report.reconstruction_residual = residual
     if not residual <= policy.residual_rtol:
         raise error(f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}")
@@ -814,14 +859,15 @@ def reconstruction_residual(A, M, k: int) -> float:
     callers test ``not residual <= rtol`` so that it fails.
     """
     A = _as_float_matrix(A, "A")
-    return _residual(A, _as_compound(M, *A.shape, k), k)
-
-
-def _residual(A, M: np.ndarray, k: int) -> float:
-    """:func:`reconstruction_residual` of an M already checked against A's shape."""
-    peak = max(float(M.max()), -float(M.min()))
+    M = _as_compound(M, *A.shape, k)
+    peak = _peak(M)
     if peak == 0.0:
         return _norm(compound(A, k) - M)
+    return _residual(A, M, peak, k)
+
+
+def _residual(A: np.ndarray, M: np.ndarray, peak: float, k: int) -> float:
+    """:func:`reconstruction_residual` of a nonzero M checked against A's shape; peak is max|M|."""
     return _norm((compound(A, k) - M) / peak) / _norm(M / peak)
 
 
@@ -866,11 +912,12 @@ def rank_one_inverse(
     if svd.rank != 1:
         raise InvalidArgumentError(f"numerical rank is {svd.rank}, expected 1")
     U = _contraction_frame(svd.left, n, k)[0][:, :k]
-    return _rank_one_family(M, U, m, k, policy, RecoveryReport())
+    return _rank_one_family(M, _peak(M), U, m, k, policy, RecoveryReport())
 
 
 def _rank_one_family(
-    M: np.ndarray, U: np.ndarray, m: int, k: int, policy: TolerancePolicy, report: RecoveryReport
+    M: np.ndarray, peak: float, U: np.ndarray, m: int, k: int, policy: TolerancePolicy,
+    report: RecoveryReport,
 ) -> RankOneFamily:
     """The verified preimage family of a rank-one M, from its left frame U.
 
@@ -892,15 +939,14 @@ def _rank_one_family(
     report.route = "rank-one"
     report.inferred_r = k
     with _stage(report, "rank_one"):
-        scale = max(float(M.max()), -float(M.min()))
-        F = (M / scale).T @ compound(U, k)
+        F = (M / peak).T @ compound(U, k)
         V = _contraction_frame(F, m, k)[0][:, :k]
         core = float(F[:, 0] @ compound(V, k)[:, 0])
         if core < 0:
             V[:, 0] = -V[:, 0]
-        Sigma = abs(core) ** (1.0 / k) * scale ** (1.0 / k) * np.eye(k)
+        Sigma = abs(core) ** (1.0 / k) * peak ** (1.0 / k) * np.eye(k)
     family = RankOneFamily(U=U, Sigma=Sigma, V=V)
-    _verify(family.representative(), M, k, policy, report, NotCompoundDecomposableError)
+    _verify(family.representative(), M, peak, k, policy, report, NotCompoundDecomposableError)
     return family
 
 
@@ -952,5 +998,5 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     unit = M / scale
     det = float(np.linalg.det(unit))
     B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
-    _verify(B, M, n - 1, policy, RecoveryReport(), NotCompoundDecomposableError)
+    _verify(B, M, _peak(M), n - 1, policy, RecoveryReport(), NotCompoundDecomposableError)
     return B
