@@ -30,8 +30,9 @@ when it refuses.
    from that frame and one contraction of the right side
    (:func:`_rank_one_family`).  The side with the smaller unfolding is
    contracted (a choice made from the shape alone): when that is M^T =
-   compound(A^T, k), the answer is found and verified for M^T and then
-   transposed.
+   compound(A^T, k), a unique answer is found and verified for M^T and
+   then transposed, and a family is turned back first and verified against
+   M itself.
 
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
    any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
@@ -42,9 +43,19 @@ when it refuses.
    one left singular vector as U: that answers an M whose second direction
    lies between the SVD's rank cutoff and the contraction's.  The family
    takes no rank of either side's contraction; ``verify`` alone accepts or
-   refuses it.  Otherwise the left frame is contracted from the weighted
-   factor ``L diag(sqrt(s))``, which separates ill-conditioned sources
-   better, and a failed check is the refusal, under its own tag.
+   refuses it.  A rank that is no binom(r, k) is refused as no compound.
+   When ``verify`` refused rung 1's candidate and the SVD gives the same
+   r, rung 2 composes no second candidate of that rank and raises rung 1's
+   refusal: above rank one the preimage is unique up to sign, and on the
+   corpus of ``tools/outcome_diff.py`` no second candidate of the same rank
+   was ever accepted.  That holds only for rung-1 frames whose relative gap
+   reaches the default ``gap_rtol``: under a lowered ``gap_rtol``, frames
+   closer than that can miss an ill-conditioned compound by a residual
+   from just above ``residual_rtol`` to near 1 while rung 2 answers it, so
+   such a refusal runs rung 2 in full.  Otherwise the left frame is
+   contracted from the weighted factor ``L diag(sqrt(s))``, which separates
+   ill-conditioned sources better, and a failed check is the refusal, under
+   its own tag.
 
 The stages after the rank, for r > k:
 
@@ -596,6 +607,9 @@ def inverse_compound(
         If the rank of M is not a binomial binom(r, k), if a rank-one
         family's representative does not reproduce M, or if the final
         check of a unique answer fails (:class:`VerificationFailedError`).
+        That is rung 1's check when the SVD's rank count gives the r of the
+        candidate it refused and that candidate's frames were separated by
+        the default ``gap_rtol``, and rung 2's otherwise.
     NumericalFailureError
         If a pipeline stage cannot go on at the configured tolerances:
         :class:`PreprocessingFailedError` when no draw separates the source
@@ -613,13 +627,18 @@ def inverse_compound(
         report.inferred_r = k
         return RecoveryResult(outcome=RankDeficientFamily(n=n, m=m, k=k), report=report)
     start = time.perf_counter()
+    refusal = None
     try:
         outcome = _contract(M, peak, n, m, k, policy, report)
+    except VerificationFailedError as err:
+        # verify refused rung 1's candidate of rank report.inferred_r (0 when
+        # its frames were too close to settle that rank for rung 2)
+        outcome, refusal = None, (report.inferred_r, err)
     except CompoundKitError:
-        outcome = None  # every refusal of rung 1 hands over; rung 2 decides under its own tags
+        outcome = None  # every other refusal of rung 1 hands over; rung 2 decides its tag
     if outcome is None:
         report = RecoveryReport(stage_timings={"contraction_attempt": time.perf_counter() - start})
-        outcome = _svd_rung(M, peak, n, m, k, policy, report)
+        outcome = _svd_rung(M, peak, n, m, k, policy, report, refusal)
     if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
         # compound(-A, k) = compound(A, k) exactly at even k, so the
         # verified residual holds for the flipped answer too
@@ -635,22 +654,23 @@ def _contract(
 
     ``peak`` is ``max|M|``, taken once per recovery; M is contracted as
     ``M / peak``.  The side with the smaller unfolding is contracted: when
-    that is M^T = compound(A^T, k), the answer for M^T is found and
-    transposed.  Every failed check raises its tagged error, which hands the
+    that is M^T = compound(A^T, k), a unique answer is found and verified
+    for M^T and transposed, and a family is verified as the one returned,
+    against M.  Every failed check raises its tagged error, which hands the
     input over; a contraction rank r outside ``k <= r <= min(n, m)`` raises
-    :class:`NotCompoundDecomposableError`.
+    :class:`NotCompoundDecomposableError`.  When ``verify`` refuses the
+    candidate, ``report.inferred_r`` holds its rank, or 0 when the relative
+    gap of its frame values is below the default ``gap_rtol`` (reachable only
+    under a lowered ``gap_rtol``): rung 2 then decides in full.
     """
-    if k > 1 and m > n:  # the side with more rows has the smaller unfolding
-        found = _contract(M.T, peak, m, n, k, policy, report)
-        if isinstance(found, RankOneFamily):
-            return RankOneFamily(U=found.V, Sigma=found.Sigma, V=found.U)
-        return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous)
+    wide = k > 1 and m > n  # the side with more rows has the smaller unfolding
+    side, n, m = (M.T, m, n) if wide else (M, n, m)
     with _stage(report, "preprocess"):
-        unit = M / peak
+        unit = side / peak
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(M, peak, frame[:, :k], m, k, policy, report)
+        return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, transposed=wide)
     if not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
 
@@ -664,7 +684,7 @@ def _contract(
         # one draw makes a repeated spectrum generic; a gap still too small
         # after it is structural (ill-conditioning), and the sqrt(s) weight of
         # the SVD route separates it better than more draws would
-        Q, M_tilde, resamples, (U, _) = _resample(
+        Q, M_tilde, resamples, (U, values) = _resample(
             unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
     with _stage(report, "frames"):
@@ -672,12 +692,18 @@ def _contract(
         V = _complement_frame(f, norms, m, k, r)
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
-    return _compose(M, peak, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
+    try:
+        found = _compose(side, peak, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
+    except VerificationFailedError:
+        if _min_gap(values) < DEFAULT_POLICY.gap_rtol:
+            report.inferred_r = 0  # rung 2's sqrt(s) weight may answer what these frames miss
+        raise
+    return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous) if wide else found
 
 
 def _svd_rung(
     M: np.ndarray, peak: float, n: int, m: int, k: int, policy: TolerancePolicy,
-    report: RecoveryReport,
+    report: RecoveryReport, refusal: tuple[int, VerificationFailedError] | None,
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
@@ -685,7 +711,11 @@ def _svd_rung(
     frames, and rung 1's design products and ``singular_values`` step; every
     failed check raises its tagged error.  M is scaled by its largest
     singular value; ``peak``, ``max|M|``, serves the rank-one family and
-    ``verify``.
+    ``verify``.  ``refusal`` is ``(r, error)`` when ``verify`` refused rung
+    1's candidate of rank r (r is 0 when its frames were too close to
+    settle it): the SVD's rank count still decides rank one and a rank that
+    is no binomial, but a count of binom(r, k) for that same r raises
+    ``error`` before anything is composed.
     """
     with _stage(report, "svd"):
         svd = reduced_svd(M, policy)
@@ -695,6 +725,8 @@ def _svd_rung(
         return _rank_one_family(M, peak, U, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
+    if refusal is not None and refusal[0] == r:
+        raise refusal[1]  # verify refused rung 1's candidate of this rank already
     scale = float(svd.sigma[0])
     with _stage(report, "preprocess"):
         unit = M / scale
@@ -917,7 +949,7 @@ def rank_one_inverse(
 
 def _rank_one_family(
     M: np.ndarray, peak: float, U: np.ndarray, m: int, k: int, policy: TolerancePolicy,
-    report: RecoveryReport,
+    report: RecoveryReport, transposed: bool = False,
 ) -> RankOneFamily:
     """The verified preimage family of a rank-one M, from its left frame U.
 
@@ -934,7 +966,10 @@ def _rank_one_family(
     tested: ``verify`` is the one judge, and raises
     :class:`NotCompoundDecomposableError` when the representative does not
     reproduce M within ``residual_rtol``.  When u or v is no wedge, no k
-    directions span its factors, so the representative misses M.
+    directions span its factors, so the representative misses M.  With
+    ``transposed``, M is the transpose of the input (rung 1 contracted the
+    input's other side): the family of M^T is returned, and its own
+    representative is verified against M^T.
     """
     report.route = "rank-one"
     report.inferred_r = k
@@ -945,7 +980,10 @@ def _rank_one_family(
         if core < 0:
             V[:, 0] = -V[:, 0]
         Sigma = abs(core) ** (1.0 / k) * peak ** (1.0 / k) * np.eye(k)
-    family = RankOneFamily(U=U, Sigma=Sigma, V=V)
+    if transposed:
+        family, M = RankOneFamily(U=V, Sigma=Sigma, V=U), M.T
+    else:
+        family = RankOneFamily(U=U, Sigma=Sigma, V=V)
     _verify(family.representative(), M, peak, k, policy, report, NotCompoundDecomposableError)
     return family
 

@@ -1036,15 +1036,7 @@ def test_inverse_decomposes_M_once(M, n, m, k, outcome, preprocessed, svds, monk
          False),
         (np.eye(6), 4, 4, 2, "contraction", False),
         (_rank_one_compound(5, 4, 3, seed=136), 5, 4, 3, "rank-one", False),
-        pytest.param(
-            _rank_one_compound(4, 6, 2, seed=137), 4, 6, 2, "rank-one", False,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="rung 1 verifies a wide family as the family of M^T, V Sigma U^T "
-                "against M.T, whose residual differs from the representative's in the "
-                "last bits (CHANGES.md FOUND line on the wide rank-one residual)",
-            ),
-        ),
+        (_rank_one_compound(4, 6, 2, seed=137), 4, 6, 2, "rank-one", False),
         (compound(np.random.default_rng(138).standard_normal((4, 6)), 3), 4, 6, 3, "svd", True),
         (np.eye(6), 4, 4, 2, "svd", True),
         (_rank_one_compound(5, 4, 3, seed=139), 5, 4, 3, "rank-one", True),
@@ -1399,6 +1391,86 @@ def test_design_follows_a_rotated_left_frame(n, m, cond):
         result = inverse_compound(compound(A, 2), n, m, 2)
         assert result.report.route == "contraction"
         assert sign_error(result.outcome.A, A) <= 1e-9
+
+
+def _count_composed(patch):
+    """Wrap ``recovery._compose`` so that the candidates both rungs compose are counted."""
+    composed = []
+    compose = recovery._compose
+
+    def counting(*args):
+        composed.append(args[7].size)  # sigma: one candidate of that rank
+        return compose(*args)
+
+    patch.setattr(recovery, "_compose", counting)
+    return composed
+
+
+def test_a_refused_candidate_is_composed_once_per_rank(monkeypatch):
+    # a Gaussian 6 x 6 M at n = m = 4, k = 2: verify refuses rung 1's
+    # rank-4 candidate; rung 2's SVD counts rank 6 = binom(4, 2), the same
+    # r, so it composes no second candidate and re-raises rung 1's refusal
+    M = np.random.default_rng(163).standard_normal((6, 6))
+    composed = _count_composed(monkeypatch)
+    svds = _count_decompositions_of(M, monkeypatch)
+    with pytest.raises(VerificationFailedError, match="reconstruction residual"):
+        inverse_compound(M, 4, 4, 2)
+    assert composed == [4]
+    assert len(svds) == 1  # rung 2 still takes the SVD whose rank decides
+
+
+def test_rung_two_still_counts_a_rank_that_is_no_binomial(monkeypatch):
+    # rank 5 is no binom(r, 2): whatever rung 1 composed, rung 2's rank
+    # count refuses M as no compound
+    M = random_rank_r(6, 6, 5, seed=12)
+    composed = _count_composed(monkeypatch)
+    with pytest.raises(NotCompoundDecomposableError, match="is not binom") as err:
+        inverse_compound(M, 4, 4, 2)
+    assert type(err.value) is NotCompoundDecomposableError
+    assert len(composed) <= 1
+
+
+def test_a_refusal_at_another_rank_runs_rung_two_in_full(monkeypatch):
+    # rung 1 refused a candidate of a rank other than the SVD's: rung 2
+    # composes its own, and answers a true compound
+    A = np.random.default_rng(167).standard_normal((5, 5))
+    M = compound(A, 2)
+
+    def refuse(M, peak, n, m, k, policy, report):
+        report.inferred_r = 4
+        raise VerificationFailedError("rung 1's candidate of rank 4 is refused here")
+
+    monkeypatch.setattr(recovery, "_contract", refuse)
+    composed = _count_composed(monkeypatch)
+    result = inverse_compound(M, 5, 5, 2)
+    assert result.report.route == "svd"
+    assert result.report.inferred_r == 5
+    assert composed == [5]
+    assert sign_error(result.outcome.A, A) <= 1e-12
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e8, 1e10, 1e12])
+@pytest.mark.parametrize("n,m,r", [(5, 5, 3), (6, 4, 4)])
+def test_a_lowered_gap_rtol_refuses_only_what_rung_two_refuses(cond, n, m, r, monkeypatch):
+    # the sources of test_inverse_accuracy_on_ill_conditioned_sources with
+    # gap_rtol lowered to 1e-12: rung 1 then composes from frames closer
+    # than the default gap_rtol, and verify refuses a candidate (residual
+    # 1.4e-2 at 5x5 cond 1e10) that rung 2 answers at the same r; such a
+    # refusal is not rung 1's to keep
+    k = r - 1
+    spectrum = cond ** (-np.arange(r) / (r - 1))
+    M = compound(random_rank_r(n, m, r, seed=67 + r, spectrum=spectrum), k)
+    policy = TolerancePolicy(rank_rtol=1e-12, gap_rtol=1e-12)
+
+    def outcome_or_tag():
+        try:
+            return type(inverse_compound(M, n, m, k, policy).outcome)
+        except CompoundKitError as err:
+            return err.tag
+
+    full = outcome_or_tag()
+    _hand_over(monkeypatch)
+    assert full == outcome_or_tag()
 
 
 def test_rung_one_refuses_non_compounds_through_verify():

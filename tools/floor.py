@@ -7,9 +7,12 @@ Usage::
 Each tree is a checkout holding ``src/compound_kit``; without one, the tree
 this tool lives in is measured.  Five small inputs are recovered: Gaussian
 sources at 4x4 k=2, 5x5 k=3 and 6x6 k=3, ``M = I`` at 4x4 k=2 and an
-orthogonal 5x5 k=3 source (the last two need a random draw).  Their M are
-built from fixed seeds with the benchmark's own determinants
-(``perfbench/cases.py``), so every tree recovers the same bytes.
+orthogonal 5x5 k=3 source (the last two need a random draw).  Two more are
+refused, and their ``CompoundKitError`` is caught: a Gaussian 6 x 6 M at
+4x4 k=2 and a 5x5 k=2 compound perturbed by 1e-6 of its max|M|, each of
+whose rung-1 candidate ``verify`` refuses.  Their M are built from fixed
+seeds with the benchmark's own determinants (``perfbench/cases.py``), so
+every tree recovers the same bytes.
 
 Each tree runs in its own subprocess with BLAS pinned to one thread.  After
 one warm-up recovery of each input, ``--calls`` rounds call every input once
@@ -48,14 +51,20 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def inputs() -> list[tuple[str, np.ndarray, int, int, int]]:
-    """(label, M, n, m, k) of the five inputs."""
+    """(label, M, n, m, k) of the seven inputs."""
     sources = [
         (f"gaussian {n}x{n} k={k}", np.random.default_rng([n, k]).standard_normal((n, n)), k)
         for n, k in ((4, 2), (5, 3), (6, 3))
     ]
     sources.append(("identity 4x4 k=2", np.eye(4), 2))
     sources.append(("orthogonal 5x5 k=3", _orthogonal(np.random.default_rng([5, 3, 1]), 5), 3))
-    return [(label, minors(A, k), *A.shape, k) for label, A, k in sources]
+    found = [(label, minors(A, k), *A.shape, k) for label, A, k in sources]
+    rng = np.random.default_rng([5, 2, 6])
+    found.append(("refused gaussian M", rng.standard_normal((6, 6)), 4, 4, 2))
+    exact = minors(rng.standard_normal((5, 5)), 2)
+    noise = 1e-6 * np.abs(exact).max() * rng.standard_normal(exact.shape)
+    found.append(("refused perturbed", exact + noise, 5, 5, 2))
+    return found
 
 
 def run_tree(src: Path, calls: int) -> None:
@@ -65,19 +74,30 @@ def run_tree(src: Path, calls: int) -> None:
 
     if src.resolve() not in Path(ck.__file__).resolve().parents:
         raise SystemExit(f"imported {ck.__file__}, not the tree under {src}")
+
+    def once(M, n, m, k) -> float:
+        """Seconds of one recovery, whether it answers or refuses."""
+        start = time.perf_counter()
+        try:
+            ck.inverse_compound(M, n, m, k)
+        except ck.CompoundKitError:
+            pass
+        return time.perf_counter() - start
+
     cases = inputs()
     for _, M, n, m, k in cases:
-        ck.inverse_compound(M, n, m, k)
+        once(M, n, m, k)
     best = [float("inf")] * len(cases)
     for _ in range(calls):
         for i, (_, M, n, m, k) in enumerate(cases):
-            start = time.perf_counter()
-            ck.inverse_compound(M, n, m, k)
-            best[i] = min(best[i], time.perf_counter() - start)
+            best[i] = min(best[i], once(M, n, m, k))
     counts = []
     for _, M, n, m, k in cases:
         profile = cProfile.Profile()
-        profile.runcall(ck.inverse_compound, M, n, m, k)
+        try:
+            profile.runcall(ck.inverse_compound, M, n, m, k)
+        except ck.CompoundKitError:
+            pass
         counts.append(pstats.Stats(profile).total_calls)
     print(json.dumps({"min_ms": [t * 1e3 for t in best], "calls": counts}))
 
