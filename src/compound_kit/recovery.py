@@ -13,13 +13,14 @@ the rank of M:
 
 Every nonzero M takes one of two rungs.  Each finds its left frame and the
 rank r from a signed (k-1)-contraction (:func:`_contraction_frame`).  They
-differ in their scale, their first contraction, their draw and their right
-frame V.  Each calls the shared resampling loop (:func:`_resample`), then
-the shared design products (:func:`_design_products`), its own V, the shared
-``singular_values`` step (:func:`_design_values`), and the shared tail that
-composes A and verifies it (:func:`_compose`).  :func:`inverse_compound`
-runs rung 1 (:func:`_contract`) and hands over to rung 2 (:func:`_svd_rung`)
-when it refuses.
+work on the same ``M / max|M|`` and differ in their first contraction,
+their draw and their right frame V.  Each calls the shared resampling loop
+(:func:`_resample`), then the shared design products
+(:func:`_design_products`), its own V, the shared ``singular_values`` step
+(:func:`_design_values`), and the shared tail that composes A and verifies
+it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
+(:func:`_contract`) and hands every refusal of it to rung 2
+(:func:`_svd_rung`) in one ``except`` clause.
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
@@ -37,23 +38,24 @@ when it refuses.
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
    any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
    among them; its time is then reported as ``contraction_attempt``.  The
-   ``svd`` stage takes the compact SVD ``M = L diag(s) R^T``; its rank
-   binom(r, k) gives r, and M is divided by ``s_1``.  Rank one calls the
-   rank-one family again, with the top k frame of the contraction of the
-   one left singular vector as U: that answers an M whose second direction
-   lies between the SVD's rank cutoff and the contraction's.  The family
-   takes no rank of either side's contraction; ``verify`` alone accepts or
-   refuses it.  A rank that is no binom(r, k) is refused as no compound.
-   When ``verify`` refused rung 1's candidate and the SVD gives the same
-   r, rung 2 composes no second candidate of that rank and raises rung 1's
-   refusal: above rank one the preimage is unique up to sign, and on the
-   corpus of ``tools/outcome_diff.py`` no second candidate of the same rank
-   was ever accepted.  That holds only for rung-1 frames whose relative gap
-   reaches the default ``gap_rtol``: under a lowered ``gap_rtol``, frames
-   closer than that can miss an ill-conditioned compound by a residual
-   from just above ``residual_rtol`` to near 1 while rung 2 answers it, so
-   such a refusal runs rung 2 in full.  Otherwise the left frame is
-   contracted from the weighted factor ``L diag(sqrt(s))``, which separates
+   ``svd`` stage takes the compact SVD ``M / max|M| = L diag(s) R^T``, the
+   same scale as rung 1's; its rank binom(r, k) gives r.  Rank one calls
+   the rank-one family again, with the top k frame of the contraction of
+   the one left singular vector as U: that answers an M whose second
+   direction lies between the SVD's rank cutoff and the contraction's.  The
+   family takes no rank of either side's contraction; ``verify`` alone
+   accepts or refuses it.  A rank that is no binom(r, k) is refused as no
+   compound.  When ``verify`` refused rung 1's candidate of rank r and the
+   SVD gives the same r, rung 2 composes no second candidate and raises
+   rung 1's refusal: above rank one the preimage is unique up to sign, and
+   on the corpus of ``tools/outcome_diff.py`` no second candidate of the
+   same rank was ever accepted.  That evidence holds for policies whose
+   ``gap_rtol`` is at least the default's: under a lowered ``gap_rtol``,
+   rung 1 composes from frames closer than that, which can miss an
+   ill-conditioned compound by a residual from just above
+   ``residual_rtol`` to near 1 while rung 2 answers it, so there every
+   refusal runs rung 2 in full.  Otherwise the left frame is contracted
+   from the weighted factor ``L diag(sqrt(s))``, which separates
    ill-conditioned sources better, and a failed check is the refusal, under
    its own tag.
 
@@ -608,8 +610,8 @@ def inverse_compound(
         family's representative does not reproduce M, or if the final
         check of a unique answer fails (:class:`VerificationFailedError`).
         That is rung 1's check when the SVD's rank count gives the r of the
-        candidate it refused and that candidate's frames were separated by
-        the default ``gap_rtol``, and rung 2's otherwise.
+        candidate it refused and ``policy.gap_rtol`` is at least the
+        default's, and rung 2's otherwise.
     NumericalFailureError
         If a pipeline stage cannot go on at the configured tolerances:
         :class:`PreprocessingFailedError` when no draw separates the source
@@ -627,18 +629,14 @@ def inverse_compound(
         report.inferred_r = k
         return RecoveryResult(outcome=RankDeficientFamily(n=n, m=m, k=k), report=report)
     start = time.perf_counter()
-    refusal = None
     try:
         outcome = _contract(M, peak, n, m, k, policy, report)
-    except VerificationFailedError as err:
-        # verify refused rung 1's candidate of rank report.inferred_r (0 when
-        # its frames were too close to settle that rank for rung 2)
-        outcome, refusal = None, (report.inferred_r, err)
-    except CompoundKitError:
-        outcome = None  # every other refusal of rung 1 hands over; rung 2 decides its tag
-    if outcome is None:
+    except CompoundKitError as err:
+        # every refusal of rung 1 hands over; verify's names the rank of the
+        # candidate it refused, and rung 2 decides every other in full
+        refused = report.inferred_r if isinstance(err, VerificationFailedError) else 0
         report = RecoveryReport(stage_timings={"contraction_attempt": time.perf_counter() - start})
-        outcome = _svd_rung(M, peak, n, m, k, policy, report, refusal)
+        outcome = _svd_rung(M, peak, n, m, k, policy, report, err, refused)
     if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
         # compound(-A, k) = compound(A, k) exactly at even k, so the
         # verified residual holds for the flipped answer too
@@ -659,9 +657,8 @@ def _contract(
     against M.  Every failed check raises its tagged error, which hands the
     input over; a contraction rank r outside ``k <= r <= min(n, m)`` raises
     :class:`NotCompoundDecomposableError`.  When ``verify`` refuses the
-    candidate, ``report.inferred_r`` holds its rank, or 0 when the relative
-    gap of its frame values is below the default ``gap_rtol`` (reachable only
-    under a lowered ``gap_rtol``): rung 2 then decides in full.
+    candidate, ``report.inferred_r`` holds its rank (:func:`_compose` sets
+    it), which :func:`inverse_compound` hands to rung 2.
     """
     wide = k > 1 and m > n  # the side with more rows has the smaller unfolding
     side, n, m = (M.T, m, n) if wide else (M, n, m)
@@ -684,7 +681,7 @@ def _contract(
         # one draw makes a repeated spectrum generic; a gap still too small
         # after it is structural (ill-conditioning), and the sqrt(s) weight of
         # the SVD route separates it better than more draws would
-        Q, M_tilde, resamples, (U, values) = _resample(
+        Q, M_tilde, resamples, (U, _) = _resample(
             unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
     with _stage(report, "frames"):
@@ -692,67 +689,58 @@ def _contract(
         V = _complement_frame(f, norms, m, k, r)
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
-    try:
-        found = _compose(side, peak, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
-    except VerificationFailedError:
-        if _min_gap(values) < DEFAULT_POLICY.gap_rtol:
-            report.inferred_r = 0  # rung 2's sqrt(s) weight may answer what these frames miss
-        raise
+    found = _compose(side, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
     return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous) if wide else found
 
 
 def _svd_rung(
     M: np.ndarray, peak: float, n: int, m: int, k: int, policy: TolerancePolicy,
-    report: RecoveryReport, refusal: tuple[int, VerificationFailedError] | None,
+    report: RecoveryReport, refusal: CompoundKitError, refused: int,
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
-    One SVD of M, then the contraction of its weighted factors for both
-    frames, and rung 1's design products and ``singular_values`` step; every
-    failed check raises its tagged error.  M is scaled by its largest
-    singular value; ``peak``, ``max|M|``, serves the rank-one family and
-    ``verify``.  ``refusal`` is ``(r, error)`` when ``verify`` refused rung
-    1's candidate of rank r (r is 0 when its frames were too close to
-    settle it): the SVD's rank count still decides rank one and a rank that
-    is no binomial, but a count of binom(r, k) for that same r raises
-    ``error`` before anything is composed.
+    One SVD of ``M / peak``, as rung 1 scales M by ``peak = max|M|``, then
+    the contraction of its weighted factors for both frames, and rung 1's
+    design products and ``singular_values`` step; every failed check raises
+    its tagged error.  ``refusal`` is rung 1's error and ``refused`` the
+    rank of the candidate ``verify`` refused (0 for any other refusal): the
+    SVD's rank count still decides rank one and a rank that is no binomial,
+    but a count of binom(r, k) for that same r raises ``refusal`` before
+    anything is composed, unless ``policy.gap_rtol`` is below the default.
     """
     with _stage(report, "svd"):
-        svd = reduced_svd(M, policy)
+        unit = M / peak
+        svd = reduced_svd(unit, policy)
     if svd.rank == 1:
         with _stage(report, "rank_one"):
             U = _contraction_frame(svd.left, n, k)[0][:, :k]
         return _rank_one_family(M, peak, U, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
-    if refusal is not None and refusal[0] == r:
-        raise refusal[1]  # verify refused rung 1's candidate of this rank already
-    scale = float(svd.sigma[0])
+    if r == refused and policy.gap_rtol >= DEFAULT_POLICY.gap_rtol:
+        raise refusal  # above rank one the preimage is unique up to sign
     with _stage(report, "preprocess"):
-        unit = M / scale
-        # the rank cutoff is relative, so the scaled SVD keeps the same rank
-        scaled = ReducedSvd(svd.left, svd.sigma / scale, svd.right)
-        Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, scaled, n, k, r, policy)
+        Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, svd, n, k, r, policy)
     with _stage(report, "frames"):
         f, norms = _design_products(M_tilde, U, k, r)
         V = _contraction_frame(right, m, k)[0][:, :r]
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
-    return _compose(M, peak, scale, Q, resamples, U, V, sigma, flips, k, policy, report)
+    return _compose(M, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
 
 
 def _compose(
-    M: np.ndarray, peak: float, scale: float, Q: np.ndarray | None, resamples: int,
+    M: np.ndarray, peak: float, Q: np.ndarray | None, resamples: int,
     U: np.ndarray, V: np.ndarray, sigma: np.ndarray, flips: np.ndarray, k: int,
     policy: TolerancePolicy, report: RecoveryReport,
 ) -> UniqueUpToSign:
     """The tail both rungs share: A from the frames and sigma, verified against M.
 
-    The rung resampled ``M / scale`` into ``compound(Q, k) @ M / scale``
-    (no Q when ``resamples`` is 0), and its right side gave the right frame
-    V, sigma and the column flips of V for that.  A is composed from them,
-    undoing Q and the scale, and :func:`_verify` checks it against M, whose
-    ``max|M|`` is ``peak``.
+    The rung resampled ``M / peak`` into ``compound(Q, k) @ M / peak`` (no
+    Q when ``resamples`` is 0), with ``peak = max|M|``, and its right side
+    gave the right frame V, sigma and the column flips of V for that.  A is
+    composed from them, undoing Q and the scale, and :func:`_verify` checks
+    it against M.
     """
     report.inferred_r = sigma.size
     report.preprocessing_used = resamples > 0
@@ -761,7 +749,7 @@ def _compose(
         A = U @ (np.where(flips, -sigma, sigma)[:, None] * V.T)
         if resamples:
             A = np.linalg.solve(Q, A)
-        A *= scale ** (1.0 / k)
+        A *= peak ** (1.0 / k)
     _verify(A, M, peak, k, policy, report)
     return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 

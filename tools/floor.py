@@ -14,13 +14,18 @@ whose rung-1 candidate ``verify`` refuses.  Their M are built from fixed
 seeds with the benchmark's own determinants (``perfbench/cases.py``), so
 every tree recovers the same bytes.
 
-Each tree runs in its own subprocess with BLAS pinned to one thread.  After
-one warm-up recovery of each input, ``--calls`` rounds call every input once
-in turn, and each input's minimum wall time is printed in milliseconds;
-then one more recovery of each input runs under ``cProfile``, and its count
-of function calls is printed.  The minimum is the floor that the host's
-noise leaves least changed, and the count does not depend on the host.
-Trees run one after the other, so compare them from one command.
+The ``--calls`` are split into ``ROUNDS`` rounds.  In each round every
+tree runs in its own subprocess with BLAS pinned to one thread, the trees
+one after the other: in the order given in even rounds and in the reverse
+order in odd ones, so that with two trees each runs first in half of the
+rounds, and a tree is not read slower only for running first.  After one
+warm-up recovery of each input, a worker calls every input once in turn,
+its share of ``--calls`` times; then one more recovery of each input runs
+under ``cProfile``, and its count of function calls is kept.  Each input's
+minimum wall time over all rounds is printed in milliseconds, with the
+count of the first round, after the order the rounds used.  The minimum is
+the floor that the host's noise leaves least changed, and the count does
+not depend on the host.  Compare trees from one command.
 Standard library and NumPy only.
 """
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
+import math
 import os
 import pstats
 import subprocess
@@ -43,6 +49,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from cases import minors  # noqa: E402  (the benchmark's independent compound)
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: Rounds the ``--calls`` are split into; the tree order alternates between
+#: them.  Each round is a fresh process per tree, whose memory layout alone
+#: can move its floor by a few percent, so the minimum is taken over ten.
+ROUNDS = 10
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -108,20 +118,33 @@ def main() -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", type=Path, nargs="*", help="checkouts holding src/compound_kit")
-    parser.add_argument("--calls", type=int, default=2000, help="timed calls per input")
+    parser.add_argument(
+        "--calls", type=int, default=2000, help=f"timed calls per input, split into {ROUNDS} rounds"
+    )
     args = parser.parse_args()
 
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     labels = [label for label, *_ in inputs()]
-    print(f"minimum of {args.calls} interleaved calls (ms) and cProfile calls per recovery, "
-          f"numpy {np.__version__}, 1 BLAS thread")
-    for tree in args.trees or [ROOT]:
-        command = [sys.executable, __file__, "--worker", str(tree / "src"), str(args.calls)]
-        found = subprocess.run(command, check=True, env=env, capture_output=True, text=True)
-        result = json.loads(found.stdout)
-        print(tree)
-        for label, ms, count in zip(labels, result["min_ms"], result["calls"]):
+    trees = args.trees or [ROOT]
+    share = max(1, -(-args.calls // ROUNDS))  # the calls of one round, rounded up
+    orders = [range(len(trees))[:: (-1) ** i] for i in range(ROUNDS)]
+    best = [[math.inf] * len(labels) for _ in trees]
+    counts: list[list[int]] = [[] for _ in trees]
+    for order in orders:
+        for t in order:
+            command = [sys.executable, __file__, "--worker", str(trees[t] / "src"), str(share)]
+            found = subprocess.run(command, check=True, env=env, capture_output=True, text=True)
+            result = json.loads(found.stdout)
+            best[t] = [min(old, new) for old, new in zip(best[t], result["min_ms"])]
+            counts[t] = counts[t] or result["calls"]
+    print(f"minimum of {ROUNDS} x {share} interleaved calls (ms) and cProfile calls per "
+          f"recovery, numpy {np.__version__}, 1 BLAS thread")
+    print("tree order of the rounds: " + " | ".join(
+        " ".join(str(t + 1) for t in order) for order in orders))
+    for t, tree in enumerate(trees):
+        print(f"{t + 1}: {tree}")
+        for label, ms, count in zip(labels, best[t], counts[t]):
             print(f"  {label:20s} {ms:7.3f} ms  {count:5d} calls")
     return 0
 
