@@ -38,7 +38,9 @@ class TolerancePolicy:
         Relative cutoff for numerical rank: values above
         ``rank_rtol * v_max * size`` count toward the rank, with ``size``
         ``max(shape)`` for the singular values of a matrix and the row count
-        n for those of a contraction (:func:`_numerical_rank`).
+        n for those of a contraction (:func:`_numerical_rank`); at k = 1
+        :func:`~compound_kit.recovery.inverse_compound` contracts the side
+        with fewer rows, so there that count is min(n, m).
     gap_rtol : float
         Minimum relative gap ``(s_i - s_{i+1}) / s_1`` between consecutive
         retained singular values for them to count as distinct.

@@ -29,11 +29,14 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    top r left singular vectors of the contraction of M, and r is the rank
    of that contraction.  Rank r = k means rank one, and the family comes
    from that frame and one contraction of the right side
-   (:func:`_rank_one_family`).  The side with the smaller unfolding is
-   contracted (a choice made from the shape alone): when that is M^T =
-   compound(A^T, k), a unique answer is found and verified for M^T and
-   then transposed, and a family is turned back first and verified against
-   M itself.
+   (:func:`_rank_one_family`).  At k >= 2 the side with the smaller
+   unfolding is contracted (a choice made from the shape alone): when that
+   is M^T = compound(A^T, k), a unique answer is found and verified for M^T
+   and then transposed, and a family is turned back first and verified
+   against M itself.  At k = 1 both sides unfold to themselves, and the
+   side with fewer rows is contracted, so M and M^T read their rank at one
+   cutoff.  There compound(A, 1) = A: a rank r > 1 is answered by a copy of
+   M itself, verified, with no draw and nothing composed.
 
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
    any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
@@ -59,7 +62,7 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    ill-conditioned sources better, and a failed check is the refusal, under
    its own tag.
 
-The stages after the rank, for r > k:
+The stages after the rank, for r > k at k >= 2:
 
 * ``preprocess``: the r contraction singular values must be pairwise
   distinct, which holds exactly when the source singular values are.  When
@@ -597,7 +600,10 @@ def inverse_compound(
         :class:`RankDeficientFamily`; ``report`` carries rank, residuals,
         resample count, and stage timings.  The reconstruction residual
         ``|compound(A, k) - M| / |M|`` is checked against
-        ``policy.residual_rtol`` before returning.
+        ``policy.residual_rtol`` before returning.  At k = 1, where
+        compound(A, 1) = A, an M of rank above one is answered by a copy of
+        M itself (route ``contraction``, ``inferred_r`` its rank), and a
+        rank-one M by its family.
 
     Raises
     ------
@@ -651,25 +657,34 @@ def _contract(
     """Rung 1 of :func:`inverse_compound`: the verified answer from contractions of M itself.
 
     ``peak`` is ``max|M|``, taken once per recovery; M is contracted as
-    ``M / peak``.  The side with the smaller unfolding is contracted: when
-    that is M^T = compound(A^T, k), a unique answer is found and verified
-    for M^T and transposed, and a family is verified as the one returned,
-    against M.  Every failed check raises its tagged error, which hands the
-    input over; a contraction rank r outside ``k <= r <= min(n, m)`` raises
-    :class:`NotCompoundDecomposableError`.  When ``verify`` refuses the
-    candidate, ``report.inferred_r`` holds its rank (:func:`_compose` sets
-    it), which :func:`inverse_compound` hands to rung 2.
+    ``M / peak``.  At k >= 2 the side with the smaller unfolding is
+    contracted: when that is M^T = compound(A^T, k), a unique answer is
+    found and verified for M^T and transposed, and a family is verified as
+    the one returned, against M.  At k = 1 the side with fewer rows is
+    contracted, and a rank r > 1 returns a copy of M, verified against M,
+    since compound(M, 1) = M.  Every failed check raises its tagged error,
+    which hands the input over; a contraction rank r outside
+    ``k <= r <= min(n, m)`` raises :class:`NotCompoundDecomposableError`.
+    When ``verify`` refuses the candidate, ``report.inferred_r`` holds its
+    rank (:func:`_compose` sets it), which :func:`inverse_compound` hands
+    to rung 2.
     """
-    wide = k > 1 and m > n  # the side with more rows has the smaller unfolding
-    side, n, m = (M.T, m, n) if wide else (M, n, m)
+    # at k >= 2 the side with more rows has the smaller unfolding; at k = 1
+    # both unfold to themselves, and the side with fewer rows sets the cutoff
+    turned = m < n if k == 1 else m > n
+    side, n, m = (M.T, m, n) if turned else (M, n, m)
     with _stage(report, "preprocess"):
         unit = side / peak
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, transposed=wide)
+        return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, transposed=turned)
     if not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
+    if k == 1:  # compound(A, 1) = A, so M is its own preimage
+        report.route, report.inferred_r = "contraction", r
+        _verify(M, M, peak, k, policy, report)
+        return UniqueUpToSign(A=M.copy(), sign_ambiguous=False)
 
     def draw(M_tilde: np.ndarray):
         frame, values = _contraction_frame(M_tilde, n, k)
@@ -690,7 +705,7 @@ def _contract(
     with _stage(report, "singular_values"):
         sigma, flips = _design_values(f, norms, V, m, k, r)
     found = _compose(side, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
-    return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous) if wide else found
+    return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous) if turned else found
 
 
 def _svd_rung(

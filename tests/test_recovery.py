@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -1720,16 +1720,44 @@ def test_wide_k1_recovery_builds_no_table_quadratic_in_m():
     assert peak <= 64 * M.nbytes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 6, step 'k = 1 answers M itself': at k = 1 a wide M forms r m x m "
-    "projectors in rung 1 and a tall M gathers the n x n wedge table of its design",
+def _count_calls(patch, *names):
+    """Wrap the named ``recovery`` functions so that their calls are listed by name."""
+    called = []
+    for name in names:
+
+        def counting(*args, name=name, call=getattr(recovery, name)):
+            called.append(name)
+            return call(*args)
+
+        patch.setattr(recovery, name, counting)
+    return called
+
+
+def _k1_input(n, m, spectrum):
+    # a Gaussian M, or one whose singular values are the given pair
+    rng = np.random.default_rng(99)
+    if spectrum is None:
+        return rng.standard_normal((n, m))
+    U = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+    return U @ np.diag(spectrum) @ V.T
+
+
+@pytest.mark.parametrize(
+    "n,m,spectrum",
+    [(3, 1000, None), (1000, 3, None), (2, 1000, (1.0, 1.0)), (1000, 2, (1.0, 1.0))],
+    ids=["wide", "tall", "wide-repeated", "tall-repeated"],
 )
-@pytest.mark.parametrize("n,m", [(3, 1000), (1000, 3)], ids=["wide", "tall"])
-def test_k1_recovery_builds_nothing_quadratic_in_the_long_side(n, m):
+def test_k1_recovery_builds_nothing_quadratic_in_the_long_side(n, m, spectrum, monkeypatch):
+    # compound(A, 1) = A, so M is its own preimage: no r x m x m projectors,
+    # no n x n wedge table, and no draw for a repeated spectrum
     import tracemalloc
 
-    M = np.random.default_rng(99).standard_normal((n, m))
+    M = _k1_input(n, m, spectrum)
+    called = _count_calls(
+        monkeypatch, "_resample", "_design_products", "_complement_frame", "_design_values",
+        "_compose",
+    )
     tracemalloc.start()
     try:
         result = inverse_compound(M, n, m, 1)
@@ -1737,31 +1765,101 @@ def test_k1_recovery_builds_nothing_quadratic_in_the_long_side(n, m):
     finally:
         tracemalloc.stop()
     assert isinstance(result.outcome, UniqueUpToSign)
-    assert reconstruction_residual(result.outcome.A, M, 1) <= 1e-12
+    assert np.array_equal(result.outcome.A, M) and result.outcome.A is not M
+    assert result.report.route == "contraction"
+    assert result.report.inferred_r == (2 if spectrum else 3)
+    assert result.report.resample_count == 0
+    assert sorted(result.report.stage_timings) == ["preprocess", "verify"]
+    assert called == []
     assert peak <= 64 * M.nbytes
 
 
 def test_k1_source_near_the_rank_cutoff_is_its_own_compound(monkeypatch):
     # every matrix is its own 1-compound.  sigma_2 / sigma_1 = 5e-10 lies
     # between the rank cutoffs of the 2-row contraction (2e-10) and of the
-    # 8-row SVD (8e-10), so the contraction sees rank 2 and the SVD rank one
+    # 8-row SVD (8e-10); rung 1 contracts the 2-row side of M and of M^T
+    # alike, so both see rank 2, and the SVD rank one
     rng = np.random.default_rng(97)
     U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
     V = np.linalg.qr(rng.standard_normal((8, 2)))[0]
-    M = U @ np.diag([1.0, 5e-10]) @ V.T
-    result = inverse_compound(M, 2, 8, 1)
-    assert result.report.route == "contraction"
-    assert result.report.inferred_r == 2
-    assert reconstruction_residual(result.outcome.A, M, 1) <= 1e-12
-    # where the SVD calls M rank one, the family contracts its one left
-    # singular vector, not all of M, whose contraction still has rank 2
     policy = TolerancePolicy()
-    family = rank_one_inverse(M, 2, 8, 1, policy)
-    assert reconstruction_residual(family.representative(), M, 1) <= policy.residual_rtol
-    _hand_over(monkeypatch)
-    handed_over = inverse_compound(M, 2, 8, 1, policy)
-    assert isinstance(handed_over.outcome, RankOneFamily)
-    assert handed_over.report.route == "rank-one"
+    for M in (U @ np.diag([1.0, 5e-10]) @ V.T, V @ np.diag([1.0, 5e-10]) @ U.T):
+        n, m = M.shape
+        with monkeypatch.context() as patch:
+            result = inverse_compound(M, n, m, 1)
+            assert isinstance(result.outcome, UniqueUpToSign), M.shape
+            assert result.report.route == "contraction"
+            assert result.report.inferred_r == 2
+            assert np.array_equal(result.outcome.A, M)
+            # where the SVD calls M rank one, the family contracts its one
+            # left singular vector, not all of M, whose contraction has rank 2
+            family = rank_one_inverse(M, n, m, 1, policy)
+            assert reconstruction_residual(family.representative(), M, 1) <= policy.residual_rtol
+            _hand_over(patch)
+            handed_over = inverse_compound(M, n, m, 1, policy)
+            assert isinstance(handed_over.outcome, RankOneFamily)
+            assert handed_over.report.route == "rank-one"
+
+
+def _outcome_or_tag(M, n, m, policy):
+    """The outcome of ``inverse_compound(M, n, m, 1)``, or the tag of its refusal."""
+    try:
+        return inverse_compound(M, n, m, 1, policy).outcome
+    except CompoundKitError as err:
+        return err.tag
+
+
+@pytest.mark.filterwarnings("error")
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    short=st.integers(1, 8), long=st.integers(1, 40), tall=st.booleans(),
+    log_cond=st.floats(0, 12), rank_rtol=st.sampled_from([1e-10, 1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# sigma_2 / sigma_1 = 3.4e-10 at 6 x 2 lies between the cutoffs of a 2-row
+# and a 6-row contraction, 2e-10 and 6e-10
+@example(short=2, long=6, tall=True, log_cond=-math.log10(3.4e-10), rank_rtol=1e-10, seed=4918)
+def test_k1_transposed_graded_source_gets_the_transposed_outcome(
+    short, long, tall, log_cond, rank_rtol, seed
+):
+    # compound(A, 1) = A, so M^T's outcome is M's turned over: the same type
+    # or tag, a unique answer transposed byte for byte, and a family whose
+    # representative, transposed, reproduces M
+    n, m = (long, short) if tall else (short, long)
+    r = min(n, m)
+    M = random_rank_r(n, m, r, seed, spectrum=(10.0**log_cond) ** (-np.arange(r) / max(r - 1, 1)))
+    policy = TolerancePolicy(rank_rtol=rank_rtol)
+    given_, turned = _outcome_or_tag(M, n, m, policy), _outcome_or_tag(M.T, m, n, policy)
+    assert type(turned) is type(given_) and (
+        not isinstance(given_, str) or turned == given_
+    ), (given_, turned)
+    if isinstance(given_, UniqueUpToSign):
+        assert turned.A.tobytes() == given_.A.T.tobytes()
+    elif isinstance(given_, RankOneFamily):
+        assert reconstruction_residual(turned.representative().T, M, 1) <= policy.residual_rtol
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NotCompoundDecomposableError,
+    reason="ROADMAP item 5: at k = 1 both rungs read rank one at a cutoff above sigma_2, and "
+    "the family of that rank misses M by more than residual_rtol",
+)
+def test_k1_second_value_just_above_residual_rtol_is_not_certified_as_no_compound():
+    # every matrix is its own 1-compound.  sigma = (1, 1.5e-8): the cutoff
+    # of the 200-row contraction, 1e-10 * 200 = 2e-8, and the SVD's both
+    # read rank one, and the rank-one family misses M by 1.5e-8
+    rng = np.random.default_rng(133)
+    U = np.linalg.qr(rng.standard_normal((200, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((200, 2)))[0]
+    M = U @ np.diag([1.0, 1.5e-8]) @ V.T
+    policy = TolerancePolicy()
+    outcome = inverse_compound(M, 200, 200, 1, policy).outcome
+    representative = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
+    assert reconstruction_residual(representative, M, 1) <= policy.residual_rtol
 
 
 def test_rank_one_with_a_second_direction_between_the_rank_cutoffs():
