@@ -59,7 +59,13 @@ class NotCompoundDecomposableError(CompoundKitError):
 
 
 class VerificationFailedError(NotCompoundDecomposableError):
-    """A recovered candidate failed the final reconstruction check."""
+    """A recovered candidate failed the final reconstruction check.
+
+    Above rank one the preimage is unique up to sign, so a candidate that
+    misses M is evidence that M has none: ``inverse_compound`` raises this
+    at the refusal of rung 1's candidate, with no SVD route after it, under
+    every policy whose ``gap_rtol`` is at least the default's.
+    """
 
     tag = "verification-failed"
 

@@ -19,8 +19,9 @@ their draw and their right frame V.  Each calls the shared resampling loop
 (:func:`_design_products`), its own V, the shared ``singular_values`` step
 (:func:`_design_values`), and the shared tail that composes A and verifies
 it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
-(:func:`_contract`) and hands every refusal of it to rung 2
-(:func:`_svd_rung`) in one ``except`` clause.
+(:func:`_contract`) and, in one ``except`` clause, either ends the run at
+``verify``'s refusal of rung 1's candidate or hands the refusal to rung 2
+(:func:`_svd_rung`).
 
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
@@ -35,12 +36,14 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    and then transposed, and a family is turned back first and verified
    against M itself.  At k = 1 both sides unfold to themselves, and the
    side with fewer rows is contracted, so M and M^T read their rank at one
-   cutoff.  There compound(A, 1) = A: a rank r > 1 is answered by a copy of
-   M itself, verified, with no draw and nothing composed.
+   cutoff.  There compound(A, 1) = A: a rank r > 1, or a rank one whose
+   family misses M, is answered by a copy of M itself, verified, with no
+   draw and nothing composed.
 
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
-   any of its checks fails, a contraction rank r outside k <= r <= min(n, m)
-   among them; its time is then reported as ``contraction_attempt``.  The
+   one of its checks before ``verify`` fails, a contraction rank r outside
+   k <= r <= min(n, m) among them, or when the rank-one family misses M at
+   k >= 2; its time is then reported as ``contraction_attempt``.  The
    ``svd`` stage takes the compact SVD ``M / max|M| = L diag(s) R^T``, the
    same scale as rung 1's; its rank binom(r, k) gives r.  Rank one calls
    the rank-one family again, with the top k frame of the contraction of
@@ -48,19 +51,19 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    direction lies between the SVD's rank cutoff and the contraction's.  The
    family takes no rank of either side's contraction; ``verify`` alone
    accepts or refuses it.  A rank that is no binom(r, k) is refused as no
-   compound.  When ``verify`` refused rung 1's candidate of rank r and the
-   SVD gives the same r, rung 2 composes no second candidate and raises
-   rung 1's refusal: above rank one the preimage is unique up to sign, and
-   on the corpus of ``tools/outcome_diff.py`` no second candidate of the
-   same rank was ever accepted.  That evidence holds for policies whose
-   ``gap_rtol`` is at least the default's: under a lowered ``gap_rtol``,
-   rung 1 composes from frames closer than that, which can miss an
-   ill-conditioned compound by a residual from just above
-   ``residual_rtol`` to near 1 while rung 2 answers it, so there every
-   refusal runs rung 2 in full.  Otherwise the left frame is contracted
-   from the weighted factor ``L diag(sqrt(s))``, which separates
-   ill-conditioned sources better, and a failed check is the refusal, under
-   its own tag.
+   compound.  Otherwise the left frame is contracted from the weighted
+   factor ``L diag(sqrt(s))``, which separates ill-conditioned sources
+   better, and a failed check is the refusal, under its own tag.  Rung 2
+   knows nothing of rung 1's refusal, because ``verify``'s refusal of rung
+   1's candidate never reaches it: above rank one the preimage is unique up
+   to sign, so that refusal is evidence that M has none, and ends the run
+   (on the corpus of ``tools/outcome_diff.py`` rung 2 never answered such
+   an input).  That holds for policies whose ``gap_rtol`` is at least the
+   default's.  Under a lowered ``gap_rtol``, rung 1 composes from frames
+   closer than that, which can miss an ill-conditioned compound by a
+   residual from just above ``residual_rtol`` to near 1 while rung 2
+   answers it, so there a ``verify`` refusal hands over as every other
+   refusal does.
 
 The stages after the rank, for r > k at k >= 2:
 
@@ -615,9 +618,9 @@ def inverse_compound(
         If the rank of M is not a binomial binom(r, k), if a rank-one
         family's representative does not reproduce M, or if the final
         check of a unique answer fails (:class:`VerificationFailedError`).
-        That is rung 1's check when the SVD's rank count gives the r of the
-        candidate it refused and ``policy.gap_rtol`` is at least the
-        default's, and rung 2's otherwise.
+        Rung 1's final check ends the run when ``policy.gap_rtol`` is at
+        least the default's, whatever rank M's SVD would count; under a
+        lowered ``gap_rtol`` the error is rung 2's.
     NumericalFailureError
         If a pipeline stage cannot go on at the configured tolerances:
         :class:`PreprocessingFailedError` when no draw separates the source
@@ -638,11 +641,12 @@ def inverse_compound(
     try:
         outcome = _contract(M, peak, n, m, k, policy, report)
     except CompoundKitError as err:
-        # every refusal of rung 1 hands over; verify's names the rank of the
-        # candidate it refused, and rung 2 decides every other in full
-        refused = report.inferred_r if isinstance(err, VerificationFailedError) else 0
+        # above rank one the preimage is unique up to sign, so verify's refusal
+        # ends the run; every other refusal hands over
+        if isinstance(err, VerificationFailedError) and policy.gap_rtol >= DEFAULT_POLICY.gap_rtol:
+            raise
         report = RecoveryReport(stage_timings={"contraction_attempt": time.perf_counter() - start})
-        outcome = _svd_rung(M, peak, n, m, k, policy, report, err, refused)
+        outcome = _svd_rung(M, peak, n, m, k, policy, report)
     if canonical_sign and isinstance(outcome, UniqueUpToSign) and outcome.sign_ambiguous:
         # compound(-A, k) = compound(A, k) exactly at even k, so the
         # verified residual holds for the flipped answer too
@@ -661,13 +665,14 @@ def _contract(
     contracted: when that is M^T = compound(A^T, k), a unique answer is
     found and verified for M^T and transposed, and a family is verified as
     the one returned, against M.  At k = 1 the side with fewer rows is
-    contracted, and a rank r > 1 returns a copy of M, verified against M,
-    since compound(M, 1) = M.  Every failed check raises its tagged error,
-    which hands the input over; a contraction rank r outside
-    ``k <= r <= min(n, m)`` raises :class:`NotCompoundDecomposableError`.
-    When ``verify`` refuses the candidate, ``report.inferred_r`` holds its
-    rank (:func:`_compose` sets it), which :func:`inverse_compound` hands
-    to rung 2.
+    contracted, and a rank r > 1, or a rank one whose family misses M,
+    returns a copy of M, verified against M, since compound(M, 1) = M; so
+    no k = 1 input reaches rung 2 unless ``rank_rtol`` cuts off even the
+    largest contraction value.  Every failed check raises its tagged error;
+    a contraction rank r outside ``k <= r <= min(n, m)`` raises
+    :class:`NotCompoundDecomposableError`.  :func:`inverse_compound` ends
+    the run at ``verify``'s refusal of a candidate, unless ``gap_rtol`` is
+    lowered, and hands every other refusal over.
     """
     # at k >= 2 the side with more rows has the smaller unfolding; at k = 1
     # both unfold to themselves, and the side with fewer rows sets the cutoff
@@ -678,8 +683,12 @@ def _contract(
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
     if r == k:
-        return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, transposed=turned)
-    if not k < r <= min(n, m):
+        try:
+            return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, turned)
+        except NotCompoundDecomposableError:
+            if k > 1:
+                raise
+    elif not k < r <= min(n, m):
         raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
     if k == 1:  # compound(A, 1) = A, so M is its own preimage
         report.route, report.inferred_r = "contraction", r
@@ -710,18 +719,17 @@ def _contract(
 
 def _svd_rung(
     M: np.ndarray, peak: float, n: int, m: int, k: int, policy: TolerancePolicy,
-    report: RecoveryReport, refusal: CompoundKitError, refused: int,
+    report: RecoveryReport,
 ) -> UniqueUpToSign | RankOneFamily:
     """Rung 2 of :func:`inverse_compound`, the SVD route.
 
     One SVD of ``M / peak``, as rung 1 scales M by ``peak = max|M|``, then
     the contraction of its weighted factors for both frames, and rung 1's
     design products and ``singular_values`` step; every failed check raises
-    its tagged error.  ``refusal`` is rung 1's error and ``refused`` the
-    rank of the candidate ``verify`` refused (0 for any other refusal): the
-    SVD's rank count still decides rank one and a rank that is no binomial,
-    but a count of binom(r, k) for that same r raises ``refusal`` before
-    anything is composed, unless ``policy.gap_rtol`` is below the default.
+    its tagged error.  It takes nothing from rung 1's refusal: the SVD's
+    rank count decides rank one and a rank that is no binomial, and any
+    other count runs the rung in full.  :func:`inverse_compound` calls it
+    after a ``verify`` refusal of rung 1 only under a lowered ``gap_rtol``.
     """
     with _stage(report, "svd"):
         unit = M / peak
@@ -732,8 +740,6 @@ def _svd_rung(
         return _rank_one_family(M, peak, U, m, k, policy, report)
     report.route = "svd"
     r = infer_base_rank(svd.rank, k)
-    if r == refused and policy.gap_rtol >= DEFAULT_POLICY.gap_rtol:
-        raise refusal  # above rank one the preimage is unique up to sign
     with _stage(report, "preprocess"):
         Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, svd, n, k, r, policy)
     with _stage(report, "frames"):

@@ -401,11 +401,21 @@ def test_cli_bad_grade_exits_3(tmp_path, capsys):
 
 
 def test_cli_non_binomial_rank_exits_1(tmp_path, capsys):
-    # a 6x6 compound image must have rank binom(r, 2); rank 5 never matches
+    # a 15x6 compound image at n = 6, m = 4 must have rank binom(r, 2);
+    # rank 5 never matches, and rung 1 refuses it on its contraction rank
+    X = random_rank_r(15, 6, 5, seed=12)
+    infile = _write(tmp_path, "m.csv", X)
+    assert main(["inverse", "--in", infile, "--n", "6", "--m", "4", "--k", "2"]) == 1
+    assert "error: not-compound-decomposable: rank 5 is not binom" in capsys.readouterr().err
+
+
+def test_cli_non_binomial_rank_refused_by_verify_exits_1(tmp_path, capsys):
+    # rank 5 of a 6x6 image at n = m = 4 is no binom(r, 2) either, but rung
+    # 1 composes a candidate for it, and verify's refusal ends the run
     X = random_rank_r(6, 6, 5, seed=12)
     infile = _write(tmp_path, "m.csv", X)
     assert main(["inverse", "--in", infile, "--n", "4", "--m", "4", "--k", "2"]) == 1
-    assert "error: not-compound-decomposable:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: verification-failed:")
 
 
 def test_cli_non_compound_full_rank_exits_1(tmp_path, capsys):

@@ -1306,6 +1306,13 @@ def test_contraction_rung_keeps_every_refusal_tag(label, M, n, m, k, monkeypatch
         _hand_over(patch)
         with pytest.raises(CompoundKitError) as second:
             inverse_compound(M, n, m, k)
+    if label == "non-binomial-rank-6x6-k2":
+        # verify refuses rung 1's candidate, which ends the run; rung 2 alone
+        # counts rank 5, which is no binom(r, 2)
+        assert (first.value.tag, second.value.tag) == (
+            "verification-failed", "not-compound-decomposable",
+        )
+        return
     assert type(first.value) is type(second.value)
     assert first.value.tag == second.value.tag
 
@@ -1406,37 +1413,50 @@ def _count_composed(patch):
     return composed
 
 
-def test_a_refused_candidate_is_composed_once_per_rank(monkeypatch):
-    # a Gaussian 6 x 6 M at n = m = 4, k = 2: verify refuses rung 1's
-    # rank-4 candidate; rung 2's SVD counts rank 6 = binom(4, 2), the same
-    # r, so it composes no second candidate and re-raises rung 1's refusal,
-    # under the default gap_rtol and under a larger one
-    M = np.random.default_rng(163).standard_normal((6, 6))
+def _reject(kind, n, k):
+    """A Gaussian or a rank-2 M at n = m, two of recover-special's reject kinds."""
+    rng = np.random.default_rng([n, k, 173])
+    rows = math.comb(n, k)
+    if kind == "gaussian":
+        return rng.standard_normal((rows, rows))
+    return rng.standard_normal((rows, 2)) @ rng.standard_normal((2, rows))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rank-2"])
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)], ids=["4x4-k2", "5x5-k2", "6x6-k3"])
+def test_a_refused_candidate_is_composed_once_per_rank(kind, n, k, monkeypatch):
+    # rung 1's contraction rank is valid and verify refuses its candidate:
+    # above rank one the preimage is unique up to sign, so that refusal ends
+    # the run, with one candidate composed and no SVD of M, under the
+    # default gap_rtol and under a larger one
+    M = _reject(kind, n, k)
     composed = _count_composed(monkeypatch)
     svds = _count_decompositions_of(M, monkeypatch)
     for policy in (TolerancePolicy(), TolerancePolicy(gap_rtol=1e-4)):
         composed.clear()
         svds.clear()
         with pytest.raises(VerificationFailedError, match="reconstruction residual"):
-            inverse_compound(M, 4, 4, 2, policy)
-        assert composed == [4]
-        assert len(svds) == 1  # rung 2 still takes the SVD whose rank decides
+            inverse_compound(M, n, n, k, policy)
+        assert len(composed) == 1
+        assert svds == []
 
 
 def test_rung_two_still_counts_a_rank_that_is_no_binomial(monkeypatch):
-    # rank 5 is no binom(r, 2): whatever rung 1 composed, rung 2's rank
-    # count refuses M as no compound
-    M = random_rank_r(6, 6, 5, seed=12)
+    # rank 5 is no binom(r, 2): rung 1 refuses this M on its contraction
+    # rank, 6 > min(n, m) = 4, before composing, and rung 2's rank count
+    # refuses it as no compound
+    M = random_rank_r(15, 6, 5, seed=12)
     composed = _count_composed(monkeypatch)
     with pytest.raises(NotCompoundDecomposableError, match="is not binom") as err:
-        inverse_compound(M, 4, 4, 2)
+        inverse_compound(M, 6, 4, 2)
     assert type(err.value) is NotCompoundDecomposableError
-    assert len(composed) <= 1
+    assert composed == []
 
 
 def test_a_refusal_at_another_rank_runs_rung_two_in_full(monkeypatch):
-    # rung 1 refused a candidate of a rank other than the SVD's: rung 2
-    # composes its own, and answers a true compound
+    # a verify refusal of rung 1 ends the run at the default gap_rtol, with
+    # no SVD of M; under a lowered gap_rtol rung 2 composes its own
+    # candidate, of the SVD's rank, and answers a true compound
     A = np.random.default_rng(167).standard_normal((5, 5))
     M = compound(A, 2)
 
@@ -1446,10 +1466,15 @@ def test_a_refusal_at_another_rank_runs_rung_two_in_full(monkeypatch):
 
     monkeypatch.setattr(recovery, "_contract", refuse)
     composed = _count_composed(monkeypatch)
-    result = inverse_compound(M, 5, 5, 2)
+    svds = _count_decompositions_of(M, monkeypatch)
+    with pytest.raises(VerificationFailedError, match="refused here"):
+        inverse_compound(M, 5, 5, 2)
+    assert composed == [] and svds == []
+    result = inverse_compound(M, 5, 5, 2, TolerancePolicy(gap_rtol=1e-12))
     assert result.report.route == "svd"
     assert result.report.inferred_r == 5
     assert composed == [5]
+    assert len(svds) == 1
     assert sign_error(result.outcome.A, A) <= 1e-12
 
 
@@ -1842,24 +1867,18 @@ def test_k1_transposed_graded_source_gets_the_transposed_outcome(
         assert reconstruction_residual(turned.representative().T, M, 1) <= policy.residual_rtol
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NotCompoundDecomposableError,
-    reason="ROADMAP item 5: at k = 1 both rungs read rank one at a cutoff above sigma_2, and "
-    "the family of that rank misses M by more than residual_rtol",
-)
 def test_k1_second_value_just_above_residual_rtol_is_not_certified_as_no_compound():
     # every matrix is its own 1-compound.  sigma = (1, 1.5e-8): the cutoff
-    # of the 200-row contraction, 1e-10 * 200 = 2e-8, and the SVD's both
-    # read rank one, and the rank-one family misses M by 1.5e-8
+    # of the 200-row contraction, 1e-10 * 200 = 2e-8, reads rank one, and
+    # the rank-one family misses M by 1.5e-8, so rung 1 answers M itself
     rng = np.random.default_rng(133)
     U = np.linalg.qr(rng.standard_normal((200, 2)))[0]
     V = np.linalg.qr(rng.standard_normal((200, 2)))[0]
     M = U @ np.diag([1.0, 1.5e-8]) @ V.T
     policy = TolerancePolicy()
-    outcome = inverse_compound(M, 200, 200, 1, policy).outcome
-    representative = outcome.A if isinstance(outcome, UniqueUpToSign) else outcome.representative()
-    assert reconstruction_residual(representative, M, 1) <= policy.residual_rtol
+    result = inverse_compound(M, 200, 200, 1, policy)
+    assert (result.report.route, result.report.inferred_r) == ("contraction", 1)
+    assert reconstruction_residual(result.outcome.A, M, 1) <= policy.residual_rtol
 
 
 def test_rank_one_with_a_second_direction_between_the_rank_cutoffs():

@@ -38,11 +38,7 @@ records rung 1's refusal of every input as ``tag: message``, with the
 numbers in the message masked as ``#``.  Per tree, every triple of the
 input's corpus kind, that rung-1 reason and the input's final
 outcome-or-tag is counted, so that the inputs rung 2 answers and the
-refusals whose tag rung 2 changes are read off by kind and cause.  Each
-worker also counts the calls of ``recovery._compose``, the candidates
-composed, and per tree it prints how many of the inputs whose rung-1
-refusal was ``verify``'s end in ``verification-failed``, and how many of
-those had no second candidate composed.
+refusals whose tag rung 2 changes are read off by kind and cause.
 
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
@@ -184,18 +180,10 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
                 raise
 
         ck.recovery._contract = census
-    compose = ck.recovery._compose
-
-    def counting(*args):
-        record["composed"] += 1
-        return compose(*args)
-
-    ck.recovery._compose = counting
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
         record = dict.fromkeys(FIELDS + ("error", "message", "rung1", "residual"))
-        record["composed"] = 0
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -357,15 +345,6 @@ def main() -> int:
                   f"{sum(census.values())} inputs):")
             for (kind, reason, final), count in sorted(census.items()):
                 print(f"  {count:6d}  {kind:16s} {reason} -> {final}")
-        for label, records in (("old", old), ("new", new)):
-            refused = [
-                record for record in records
-                if (record["rung1"] or "").startswith("verification-failed")
-                and outcome_or_tag(record) == "verification-failed"
-            ]
-            once = sum(record["composed"] == 1 for record in refused)
-            print(f"rung-1 verify refusals ending in verification-failed ({label}): "
-                  f"{len(refused)}, {once} of them with no second candidate composed")
     return 1 if differing else 0
 
 
