@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     CompoundKitError, InvalidArgumentError, MatrixIOError, NotCompoundDecomposableError,
+    VerificationFailedError,
 )
 from .exterior import adjugate, adjugate_via_compound, compound
 from .matio import _write_text, parse_matrix, render_matrix, write_matrix
@@ -196,9 +197,8 @@ def _cmd_verify(args) -> int:
     residual = reconstruction_residual(A, M, args.k)
     print(f"residual: {residual:.6e}")
     if not residual <= policy.residual_rtol:
-        raise NotCompoundDecomposableError(
-            f"residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
-        )
+        message = f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
+        raise VerificationFailedError(message)
     return 0
 
 

@@ -52,19 +52,31 @@ class DegenerateInputError(InvalidArgumentError):
 
 
 class NotCompoundDecomposableError(CompoundKitError):
-    """No matrix of the requested shape has the given compound."""
+    """No matrix of the requested shape has the given compound.
+
+    Raised under this tag only on a rank count: the rank of M is no
+    binom(r, k).  The other certificate, a candidate that fails to
+    reproduce M, is its subclass :class:`VerificationFailedError`.
+    """
 
     tag = "not-compound-decomposable"
     exit_code = 1
 
 
 class VerificationFailedError(NotCompoundDecomposableError):
-    """A recovered candidate failed the final reconstruction check.
+    """A candidate failed the reconstruction check: its compound misses M.
 
-    Above rank one the preimage is unique up to sign, so a candidate that
+    Every reconstruction check raises this, whatever the candidate: the
+    unique answer of ``inverse_compound``, a rank-one family's
+    representative (``inverse_compound`` and ``rank_one_inverse``), the
+    result of ``closed_form_inverse_nminus1`` and the A given to
+    ``compound-kit verify``.  Above rank one the preimage is unique up to
+    sign, and at rank one the family is all of it, so a candidate that
     misses M is evidence that M has none: ``inverse_compound`` raises this
-    at the refusal of rung 1's candidate, with no SVD route after it, under
-    every policy whose ``gap_rtol`` is at least the default's.
+    at the refusal of either kind of rung-1 candidate, with no SVD route
+    after it, under every policy whose ``gap_rtol`` is at least the
+    default's.  For ``compound-kit verify`` it says only that the given A
+    is no preimage.
     """
 
     tag = "verification-failed"

@@ -40,28 +40,29 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    family misses M, is answered by a copy of M itself, verified, with no
    draw and nothing composed.
 
-2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when
-   one of its checks before ``verify`` fails, a contraction rank r outside
-   k <= r <= min(n, m) among them, or when the rank-one family misses M at
-   k >= 2; its time is then reported as ``contraction_attempt``.  The
-   ``svd`` stage takes the compact SVD ``M / max|M| = L diag(s) R^T``, the
-   same scale as rung 1's; its rank binom(r, k) gives r.  Rank one calls
-   the rank-one family again, with the top k frame of the contraction of
-   the one left singular vector as U: that answers an M whose second
-   direction lies between the SVD's rank cutoff and the contraction's.  The
-   family takes no rank of either side's contraction; ``verify`` alone
-   accepts or refuses it.  A rank that is no binom(r, k) is refused as no
-   compound.  Otherwise the left frame is contracted from the weighted
-   factor ``L diag(sqrt(s))``, which separates ill-conditioned sources
-   better, and a failed check is the refusal, under its own tag.  Rung 2
-   knows nothing of rung 1's refusal, because ``verify``'s refusal of rung
-   1's candidate never reaches it: above rank one the preimage is unique up
-   to sign, so that refusal is evidence that M has none, and ends the run
-   (on the corpus of ``tools/outcome_diff.py`` rung 2 never answered such
-   an input).  That holds for policies whose ``gap_rtol`` is at least the
-   default's.  Under a lowered ``gap_rtol``, rung 1 composes from frames
-   closer than that, which can miss an ill-conditioned compound by a
-   residual from just above ``residual_rtol`` to near 1 while rung 2
+2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when one
+   of its checks before ``verify`` fails, a contraction rank r outside
+   k <= r <= min(n, m) among them; its time is then reported as
+   ``contraction_attempt``.  The ``svd`` stage takes the compact SVD
+   ``M / max|M| = L diag(s) R^T``, the same scale as rung 1's; its rank
+   binom(r, k) gives r.  Rank one calls the rank-one family again, with the
+   top k frame of the contraction of the one left singular vector as U:
+   that answers an M whose second direction lies between the SVD's rank
+   cutoff and the contraction's.  The family takes no rank of either side's
+   contraction; ``verify`` alone accepts or refuses it.  A rank that is no
+   binom(r, k) is refused as no compound (``not-compound-decomposable``).
+   Otherwise the left frame is contracted from the weighted factor
+   ``L diag(sqrt(s))``, which separates ill-conditioned sources better, and
+   a failed check is the refusal, under its own tag.  Rung 2 knows nothing
+   of rung 1's refusal, because ``verify``'s refusal of rung 1's candidate,
+   a unique answer or a rank-one family, never reaches it: above rank one
+   the preimage is unique up to sign, and at rank one the family holds
+   every preimage, so that refusal is evidence that M has none, and ends
+   the run (on the corpus of ``tools/outcome_diff.py`` rung 2 never
+   answered such an input).  That holds for policies whose ``gap_rtol`` is
+   at least the default's.  Under a lowered ``gap_rtol``, rung 1 composes
+   from frames closer than that, which can miss an ill-conditioned compound
+   by a residual from just above ``residual_rtol`` to near 1 while rung 2
    answers it, so there a ``verify`` refusal hands over as every other
    refusal does.
 
@@ -96,8 +97,10 @@ The stages after the rank, for r > k at k >= 2:
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
   the one judge of an answer of rank r > k in either rung, as it is of the
-  rank-one family's representative: the other refusals on the way only
-  name a cause when a stage cannot go on.
+  rank-one family's representative, and every miss it finds is tagged
+  ``verification-failed``; ``not-compound-decomposable`` itself is raised
+  only on a rank that is no binom(r, k).  The other refusals on the way
+  only name a cause when a stage cannot go on.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors and aligns the directions against them, lives in
@@ -615,9 +618,9 @@ def inverse_compound(
         (the check :func:`rank_one_inverse` shares), or if a nonzero M has
         numerical rank 0 under ``policy.rank_rtol``.
     NotCompoundDecomposableError
-        If the rank of M is not a binomial binom(r, k), if a rank-one
-        family's representative does not reproduce M, or if the final
-        check of a unique answer fails (:class:`VerificationFailedError`).
+        If the rank of M is not a binomial binom(r, k).  Its subclass
+        :class:`VerificationFailedError` if the final check fails, of a
+        unique answer or of a rank-one family's representative alike.
         Rung 1's final check ends the run when ``policy.gap_rtol`` is at
         least the default's, whatever rank M's SVD would count; under a
         lowered ``gap_rtol`` the error is rung 2's.
@@ -665,14 +668,16 @@ def _contract(
     contracted: when that is M^T = compound(A^T, k), a unique answer is
     found and verified for M^T and transposed, and a family is verified as
     the one returned, against M.  At k = 1 the side with fewer rows is
-    contracted, and a rank r > 1, or a rank one whose family misses M,
-    returns a copy of M, verified against M, since compound(M, 1) = M; so
-    no k = 1 input reaches rung 2 unless ``rank_rtol`` cuts off even the
-    largest contraction value.  Every failed check raises its tagged error;
-    a contraction rank r outside ``k <= r <= min(n, m)`` raises
+    contracted, and a rank r > 1, or a rank one whose family misses M
+    (:class:`VerificationFailedError`), returns a copy of M, verified
+    against M, since compound(M, 1) = M; so no k = 1 input reaches rung 2
+    unless ``rank_rtol`` cuts off even the largest contraction value.
+    Every failed check raises its tagged error; a contraction rank r
+    outside ``k <= r <= min(n, m)`` raises
     :class:`NotCompoundDecomposableError`.  :func:`inverse_compound` ends
-    the run at ``verify``'s refusal of a candidate, unless ``gap_rtol`` is
-    lowered, and hands every other refusal over.
+    the run at ``verify``'s refusal of a candidate, a unique answer or, at
+    k >= 2, a family, unless ``gap_rtol`` is lowered, and hands every other
+    refusal over.
     """
     # at k >= 2 the side with more rows has the smaller unfolding; at k = 1
     # both unfold to themselves, and the side with fewer rows sets the cutoff
@@ -685,7 +690,7 @@ def _contract(
     if r == k:
         try:
             return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, turned)
-        except NotCompoundDecomposableError:
+        except VerificationFailedError:
             if k > 1:
                 raise
     elif not k < r <= min(n, m):
@@ -875,17 +880,18 @@ def _verify(
     k: int,
     policy: TolerancePolicy,
     report: RecoveryReport,
-    error: type[CompoundKitError] = VerificationFailedError,
 ) -> None:
-    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M, or ``error`` is raised.
+    """The ``verify`` stage: ``compound(candidate, k)`` must reproduce M.
 
-    ``peak`` is ``max|M|``, taken once per recovery.
+    ``peak`` is ``max|M|``, taken once per recovery.  A miss raises
+    :class:`VerificationFailedError`, whatever the candidate: a unique
+    answer, a rank-one family's representative or the closed form.
     """
     with _stage(report, "verify"):
-        residual = _residual(candidate, M, peak, k)
-        report.reconstruction_residual = residual
+        report.reconstruction_residual = residual = _residual(candidate, M, peak, k)
     if not residual <= policy.residual_rtol:
-        raise error(f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}")
+        message = f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
+        raise VerificationFailedError(message)
 
 
 def reconstruction_residual(A, M, k: int) -> float:
@@ -946,7 +952,7 @@ def rank_one_inverse(
     diagonal produces one preimage, and all preimages differ by an inner
     determinant-one factor T.  The family is returned only if its
     representative reproduces M within ``residual_rtol``; otherwise u or v
-    is no wedge and :class:`NotCompoundDecomposableError` is raised.
+    is no wedge and :class:`VerificationFailedError` is raised.
     """
     M = _as_compound(M, n, m, k)
     svd = reduced_svd(M, policy)
@@ -973,7 +979,7 @@ def _rank_one_family(
     ``+-s / max|M|``: its sign goes into V's first column and ``Sigma`` is
     ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  No contraction rank is
     tested: ``verify`` is the one judge, and raises
-    :class:`NotCompoundDecomposableError` when the representative does not
+    :class:`VerificationFailedError` when the representative does not
     reproduce M within ``residual_rtol``.  When u or v is no wedge, no k
     directions span its factors, so the representative misses M.  With
     ``transposed``, M is the transpose of the input (rung 1 contracted the
@@ -993,7 +999,7 @@ def _rank_one_family(
         family, M = RankOneFamily(U=V, Sigma=Sigma, V=U), M.T
     else:
         family = RankOneFamily(U=U, Sigma=Sigma, V=V)
-    _verify(family.representative(), M, peak, k, policy, report, NotCompoundDecomposableError)
+    _verify(family.representative(), M, peak, k, policy, report)
     return family
 
 
@@ -1029,10 +1035,10 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
 
     For square M of full rank, ``B = |det M|^(-(n-2)/(n-1)) * compound(M, n-1)``
     satisfies compound(B, n-1) = M whenever any preimage exists; the final
-    reconstruction check rejects inputs that are not (n-1)-compounds.  The
-    formula is applied to ``M / sigma_1`` and its result scaled by
-    ``sigma_1^(1/(n-1))``, so ``det`` neither overflows nor underflows at
-    extreme scales of M.
+    reconstruction check rejects inputs that are not (n-1)-compounds with
+    :class:`VerificationFailedError`.  The formula is applied to
+    ``M / sigma_1`` and its result scaled by ``sigma_1^(1/(n-1))``, so
+    ``det`` neither overflows nor underflows at extreme scales of M.
     """
     M = _as_float_matrix(M, "M")
     n, m = M.shape
@@ -1045,5 +1051,5 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     unit = M / scale
     det = float(np.linalg.det(unit))
     B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
-    _verify(B, M, _peak(M), n - 1, policy, RecoveryReport(), NotCompoundDecomposableError)
+    _verify(B, M, _peak(M), n - 1, policy, RecoveryReport())
     return B

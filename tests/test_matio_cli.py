@@ -270,7 +270,8 @@ def test_cli_verify_rejects_wrong_pair(tmp_path, capsys):
     a_file = _write(tmp_path, "a.csv", B)
     m_file = _write(tmp_path, "m.csv", compound(A, 2))
     assert main(["verify", "--a", a_file, "--m", m_file, "--k", "2"]) == 1
-    assert "error: not-compound-decomposable:" in capsys.readouterr().err
+    # only the given A failed, which says nothing of M's other preimages
+    assert "error: verification-failed: reconstruction residual" in capsys.readouterr().err
 
 
 def test_cli_verify_fails_closed_on_overflowing_candidate(tmp_path, capsys):
@@ -284,7 +285,7 @@ def test_cli_verify_fails_closed_on_overflowing_candidate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "residual: nan" in captured.out
     assert code == 1
-    assert "error: not-compound-decomposable:" in captured.err
+    assert "error: verification-failed:" in captured.err
 
 
 def test_cli_verify_rejects_m_of_the_wrong_shape(tmp_path, capsys):

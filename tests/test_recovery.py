@@ -658,10 +658,12 @@ def test_rank_one_rejects_non_decomposable_vector(u, v):
     # one side that is no wedge is enough: its contraction has rank 4, so
     # its top 2 frame spans no factors and verify refuses the family
     M = np.outer(u, v)
-    with pytest.raises(NotCompoundDecomposableError):
+    with pytest.raises(NotCompoundDecomposableError) as refusal:
         rank_one_inverse(M, 4, 4, 2)
-    with pytest.raises(NotCompoundDecomposableError):
+    assert refusal.value.tag == "verification-failed"
+    with pytest.raises(NotCompoundDecomposableError) as refusal:
         inverse_compound(M, 4, 4, 2)
+    assert refusal.value.tag == "verification-failed"
 
 
 def test_rank_one_rejects_higher_rank():
@@ -826,8 +828,9 @@ def test_closed_form_rejects_non_compound():
     # for odd n, invertible (n-1)-compounds have positive determinant, so a
     # negative-determinant input has no preimage and must be rejected
     M = np.diag([1.0, 2.0, -3.0])
-    with pytest.raises(NotCompoundDecomposableError):
+    with pytest.raises(NotCompoundDecomposableError) as refusal:
         closed_form_inverse_nminus1(M)
+    assert refusal.value.tag == "verification-failed"
 
 
 @pytest.mark.filterwarnings("error")
@@ -1300,8 +1303,16 @@ def _refusal_corpus():
 def test_contraction_rung_keeps_every_refusal_tag(label, M, n, m, k, monkeypatch):
     from compound_kit import CompoundKitError
 
-    with pytest.raises(CompoundKitError) as first:
-        inverse_compound(M, n, m, k)
+    with monkeypatch.context() as patch:
+        svds = _count_decompositions_of(M, patch)
+        with pytest.raises(CompoundKitError) as first:
+            inverse_compound(M, n, m, k)
+    if label in ("q-qT-4x4-k2", "wedge-u-gaussian-v-5x5-k2"):
+        # both rank-one M are no compound, and verify refuses what is built
+        # for them
+        assert first.value.tag == "verification-failed"
+    if label == "wedge-u-gaussian-v-5x5-k2":
+        assert svds == []  # verify's refusal of rung 1's family ends the run
     with monkeypatch.context() as patch:
         _hand_over(patch)
         with pytest.raises(CompoundKitError) as second:
@@ -1826,10 +1837,10 @@ def test_k1_source_near_the_rank_cutoff_is_its_own_compound(monkeypatch):
             assert handed_over.report.route == "rank-one"
 
 
-def _outcome_or_tag(M, n, m, policy):
-    """The outcome of ``inverse_compound(M, n, m, 1)``, or the tag of its refusal."""
+def _outcome_or_tag(M, n, m, k, policy):
+    """The outcome of ``inverse_compound(M, n, m, k)``, or the tag of its refusal."""
     try:
-        return inverse_compound(M, n, m, 1, policy).outcome
+        return inverse_compound(M, n, m, k, policy).outcome
     except CompoundKitError as err:
         return err.tag
 
@@ -1857,7 +1868,7 @@ def test_k1_transposed_graded_source_gets_the_transposed_outcome(
     r = min(n, m)
     M = random_rank_r(n, m, r, seed, spectrum=(10.0**log_cond) ** (-np.arange(r) / max(r - 1, 1)))
     policy = TolerancePolicy(rank_rtol=rank_rtol)
-    given_, turned = _outcome_or_tag(M, n, m, policy), _outcome_or_tag(M.T, m, n, policy)
+    given_, turned = _outcome_or_tag(M, n, m, 1, policy), _outcome_or_tag(M.T, m, n, 1, policy)
     assert type(turned) is type(given_) and (
         not isinstance(given_, str) or turned == given_
     ), (given_, turned)
@@ -1865,6 +1876,60 @@ def test_k1_transposed_graded_source_gets_the_transposed_outcome(
         assert turned.A.tobytes() == given_.A.T.tobytes()
     elif isinstance(given_, RankOneFamily):
         assert reconstruction_residual(turned.representative().T, M, 1) <= policy.residual_rtol
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_square_outer_product_gets_one_tag_either_way_round(k):
+    # an outer product of two Gaussian vectors is rank one, and its vectors
+    # are no wedges.  One orientation's rung 1 accepts a contraction rank
+    # above k and composes a candidate; the other refuses its contraction
+    # rank, and rung 2 builds the rank-one family.  verify refuses both,
+    # which is one cause and one tag
+    rows = math.comb(7, k)
+    policy = TolerancePolicy()
+    differing = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        M = np.outer(rng.standard_normal(rows), rng.standard_normal(rows))
+        given_ = _outcome_or_tag(M, 7, 7, k, policy)
+        turned = _outcome_or_tag(M.T, 7, 7, k, policy)
+        if given_ != turned:
+            differing.append((seed, given_, turned))
+    assert differing == []
+
+
+@st.composite
+def _k2_sources(draw):
+    """(M, n, m, k) for an exact or graded source, n, m <= 6, k >= 2, cond <= 1e6."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(2, min(n, m)))
+    r = draw(st.integers(k, min(n, m)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spectrum = None
+    if draw(st.booleans()):  # graded
+        spectrum = (10.0 ** draw(st.floats(0, 6))) ** (-np.arange(r) / max(r - 1, 1))
+    return compound(random_rank_r(n, m, r, seed, spectrum=spectrum), k), n, m, k
+
+
+@pytest.mark.filterwarnings("error")
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_k2_sources())
+def test_transposed_compound_gets_the_transposed_outcome(case):
+    # compound(A, k)^T = compound(A^T, k), so M^T gets M's outcome type or
+    # tag, and its answer or family representative, transposed, reproduces M
+    M, n, m, k = case
+    policy = TolerancePolicy()
+    given_, turned = _outcome_or_tag(M, n, m, k, policy), _outcome_or_tag(M.T, m, n, k, policy)
+    assert type(turned) is type(given_) and (
+        not isinstance(given_, str) or turned == given_
+    ), (given_, turned)
+    if isinstance(turned, UniqueUpToSign):
+        assert reconstruction_residual(turned.A.T, M, k) <= policy.residual_rtol
+    elif isinstance(turned, RankOneFamily):
+        assert reconstruction_residual(turned.representative().T, M, k) <= policy.residual_rtol
 
 
 def test_k1_second_value_just_above_residual_rtol_is_not_certified_as_no_compound():
@@ -1974,6 +2039,12 @@ def test_every_call_answers_verified_or_refuses_with_a_tag(case):
         outcome = inverse_compound(M, n, m, k, policy).outcome
     except CompoundKitError as err:
         assert isinstance(err.tag, str) and err.tag
+        # one tag per cause: a missed reconstruction is verification-failed,
+        # and not-compound-decomposable is left to the rank count
+        if str(err).startswith("reconstruction residual"):
+            assert err.tag == "verification-failed", (kind, str(err))
+        if err.tag == "not-compound-decomposable":
+            assert "is not binom" in str(err), (kind, str(err))
         return
     if isinstance(outcome, RankDeficientFamily):
         assert not np.any(M), kind

@@ -33,12 +33,16 @@ outcome is ``untagged:*`` in either tree is printed too, however many there
 are, with its kind, shape, k, ``rank_rtol`` and the exception's message.  The exit
 status is 1 when any field differs.
 
+Every final refusal is recorded as ``tag: message``, with the numbers in the
+message masked as ``#``, and each tree's refusals are counted by that text,
+so that a message printed under two tags shows at once.
+
 Without ``--handover`` each worker also wraps ``recovery._contract`` and
-records rung 1's refusal of every input as ``tag: message``, with the
-numbers in the message masked as ``#``.  Per tree, every triple of the
-input's corpus kind, that rung-1 reason and the input's final
-outcome-or-tag is counted, so that the inputs rung 2 answers and the
-refusals whose tag rung 2 changes are read off by kind and cause.
+records rung 1's refusal of every input as ``tag: message``, masked the
+same way.  Per tree, every triple of the input's corpus kind, that rung-1
+reason and the input's final outcome-or-tag is counted, so that the inputs
+rung 2 answers and the refusals whose tag rung 2 changes are read off by
+kind and cause.
 
 For the kinds whose source is the answer (exact, graded, repeated,
 orthogonal, rank-deficient, and scaled, whose source is scaled by ``c^(1/k)``),
@@ -155,6 +159,12 @@ def relative_error(A: np.ndarray, truth: np.ndarray, k: int) -> float:
     return float(error / np.linalg.norm(truth))
 
 
+def reason_of(err: Exception) -> str:
+    """``tag: message`` of a refusal, with the numbers in the message masked as ``#``."""
+    tag = getattr(err, "tag", f"untagged:{type(err).__name__}")
+    return f"{tag}: {NUMBER.sub('#', str(err))}"
+
+
 def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> None:
     """The worker: every corpus input through the tree's ``inverse_compound``, as JSON records."""
     sys.path.insert(0, str(src))
@@ -175,24 +185,24 @@ def run_tree(src: Path, corpus_path: Path, out_path: Path, handover: bool) -> No
             try:
                 return contract(*args)
             except Exception as err:  # where rung 1 recurses for M^T, the outermost call records last
-                tag = getattr(err, "tag", f"untagged:{type(err).__name__}")
-                record["rung1"] = f"{tag}: {NUMBER.sub('#', str(err))}"
+                record["rung1"] = reason_of(err)
                 raise
 
         ck.recovery._contract = census
     records = []
     for kind, M, n, m, k, rank_rtol, truth in pickle.loads(corpus_path.read_bytes()):
         policy = ck.TolerancePolicy() if rank_rtol is None else ck.TolerancePolicy(rank_rtol=rank_rtol)
-        record = dict.fromkeys(FIELDS + ("error", "message", "rung1", "residual"))
+        record = dict.fromkeys(FIELDS + ("error", "message", "reason", "rung1", "residual"))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = ck.inverse_compound(M, n, m, k, policy)
         except ck.CompoundKitError as err:
-            record.update(outcome="refused", tag=err.tag)
+            record.update(outcome="refused", tag=err.tag, reason=reason_of(err))
         except Exception as err:  # a warning turned error, or an untagged failure
             record.update(
-                outcome="refused", tag=f"untagged:{type(err).__name__}", message=str(err)
+                outcome="refused", tag=f"untagged:{type(err).__name__}", message=str(err),
+                reason=reason_of(err),
             )
         else:
             outcome, report = result.outcome, result.report
@@ -335,6 +345,11 @@ def main() -> int:
         kind, _, n, m, k, rank_rtol, _ = inputs[i]
         print(f"  input {i} ({label}): {kind} n={n} m={m} k={k} rank_rtol={rank_rtol}: "
               f"{record['tag']}: {record['message']}")
+    for label, records in (("old", old), ("new", new)):
+        reasons = Counter(record["reason"] for record in records if record["reason"])
+        print(f"final refusals by tag and message ({label}, {sum(reasons.values())} inputs):")
+        for text, count in sorted(reasons.items()):
+            print(f"  {count:6d}  {text}")
     if not args.handover:
         for label, records in (("old", old), ("new", new)):
             census = Counter(
