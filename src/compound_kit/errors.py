@@ -103,10 +103,10 @@ class PreprocessingFailedError(NumericalFailureError):
 class DecompositionFailedError(NumericalFailureError):
     """The input did not decompose into the expected one-dimensional directions.
 
-    Raised by the pipeline when a design product of the input is zero or
-    two design products span the same directions (inside rung 1 that hands
-    the input over, and rung 2 then decides it under its own tag), and by
-    the reference route when wedge decomposition finds no such directions.
+    Raised only by the reference route's ``wedge_decompose``, when it finds
+    no such directions.  The pipeline's design stages raise nothing: a zero
+    design product, or two that span the same directions, gives a candidate
+    that ``verify`` refuses as :class:`VerificationFailedError`.
     """
 
     tag = "decomposition-failed"

@@ -17,8 +17,8 @@ work on the same ``M / max|M|`` and differ in their first contraction,
 their draw and their right frame V.  Each calls the shared resampling loop
 (:func:`_resample`), then the shared design products
 (:func:`_design_products`), its own V, the shared ``singular_values`` step
-(:func:`_design_values`), and the shared tail that composes A and verifies
-it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
+(:func:`_design_values`), the shared ``compose`` step (:func:`_compose`)
+and ``verify`` (:func:`_verify`).  :func:`inverse_compound` runs rung 1
 (:func:`_contract`) and, in one ``except`` clause, either ends the run at
 ``verify``'s refusal of rung 1's candidate or hands the refusal to rung 2
 (:func:`_svd_rung`).
@@ -40,10 +40,10 @@ it (:func:`_compose`).  :func:`inverse_compound` runs rung 1
    family misses M, is answered by a copy of M itself, verified, with no
    draw and nothing composed.
 
-2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when one
-   of its checks before ``verify`` fails, a contraction rank r outside
-   k <= r <= min(n, m) among them; its time is then reported as
-   ``contraction_attempt``.  The ``svd`` stage takes the compact SVD
+2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when it
+   refuses before composing, on a contraction rank r outside
+   k <= r <= min(n, m) or a draw that separates nothing; its time is then
+   reported as ``contraction_attempt``.  The ``svd`` stage takes the compact SVD
    ``M / max|M| = L diag(s) R^T``, the same scale as rung 1's; its rank
    binom(r, k) gives r.  Rank one calls the rank-one family again, with the
    top k frame of the contraction of the one left singular vector as U:
@@ -81,6 +81,9 @@ The stages after the rank, for r > k at k >= 2:
   ``I = {0..k-1}``, its k faces with k, and ``{0..k-2, i}`` for i > k
   (:func:`_design_products`).  For a compound they are wedges; nothing
   here tests that, because ``verify`` refuses the A of a non-compound.
+  Nor is a zero product, or two that span the same directions, refused
+  here: the A composed from them is non-finite or wrong, and ``verify``
+  refuses that too.
   Only ``compound(U[:, :k+1], k)`` is built, never a ``binom(r, k)``-wide
   compound.  Rung 1 takes V from pairs of the projectors onto
   ``span(v_i : i in I)`` that the products' unfoldings give
@@ -96,11 +99,16 @@ The stages after the rank, for r > k at k >= 2:
   ``(r, k)``.
 * ``compose`` and ``verify``: ``A = U diag(sigma) V^T`` (undoing Q and the
   scale), and a final check that ``compound(A, k)`` reproduces M.  This is
-  the one judge of an answer of rank r > k in either rung, as it is of the
+  the one judge of every candidate either rung composes, as it is of the
   rank-one family's representative, and every miss it finds is tagged
-  ``verification-failed``; ``not-compound-decomposable`` itself is raised
-  only on a rank that is no binom(r, k).  The other refusals on the way
-  only name a cause when a stage cannot go on.
+  ``verification-failed``, a non-finite A's with a residual of inf.  The
+  design stages and ``compose`` run with NumPy's floating-point warnings
+  off, since a degenerate design divides by zero there, and ``verify``
+  with them on.  So past its input checks :func:`inverse_compound` refuses
+  under three tags, one cause each: ``not-compound-decomposable`` on a
+  rank that is no binom(r, k), ``verification-failed`` on a missed
+  reconstruction, and ``preprocessing-failed`` when no draw separates the
+  source singular values.
 
 The paper's own route, which wedge-decomposes every column of the SVD
 factors and aligns the directions against them, lives in
@@ -123,7 +131,6 @@ from .combinat import (
 )
 from .errors import (
     CompoundKitError,
-    DecompositionFailedError,
     InconsistentCompoundValuesError,
     InvalidArgumentError,
     NotCompoundDecomposableError,
@@ -624,13 +631,13 @@ def inverse_compound(
         Rung 1's final check ends the run when ``policy.gap_rtol`` is at
         least the default's, whatever rank M's SVD would count; under a
         lowered ``gap_rtol`` the error is rung 2's.
-    NumericalFailureError
-        If a pipeline stage cannot go on at the configured tolerances:
-        :class:`PreprocessingFailedError` when no draw separates the source
-        singular values, :class:`DecompositionFailedError` when a design
-        product is zero or two of them span the same directions.  An input
-        of the right rank that no compound is close to gets an A anyway,
-        and the final check refuses it.
+    PreprocessingFailedError
+        If no draw separates the source singular values.  No other stage
+        refuses: a zero design product, or two that span the same
+        directions, gives a non-finite or wrong A, and the final check
+        refuses it (:class:`VerificationFailedError`, with a residual of inf
+        for a non-finite A), as it refuses the A of an input of the right
+        rank that no compound is close to.
     """
     M = _as_compound(M, n, m, k)
     report = RecoveryReport()
@@ -672,9 +679,11 @@ def _contract(
     (:class:`VerificationFailedError`), returns a copy of M, verified
     against M, since compound(M, 1) = M; so no k = 1 input reaches rung 2
     unless ``rank_rtol`` cuts off even the largest contraction value.
-    Every failed check raises its tagged error; a contraction rank r
-    outside ``k <= r <= min(n, m)`` raises
-    :class:`NotCompoundDecomposableError`.  :func:`inverse_compound` ends
+    It refuses before composing only on a contraction rank r outside
+    ``k <= r <= min(n, m)`` (:class:`NotCompoundDecomposableError`) or a
+    draw that separates nothing (:class:`PreprocessingFailedError`); every
+    candidate it composes, however degenerate its design, reaches
+    ``verify``.  :func:`inverse_compound` ends
     the run at ``verify``'s refusal of a candidate, a unique answer or, at
     k >= 2, a family, unless ``gap_rtol`` is lowered, and hands every other
     refusal over.
@@ -713,13 +722,15 @@ def _contract(
         Q, M_tilde, resamples, (U, _) = _resample(
             unit, (frame[:, :r], values[:r]), n, k, policy, draw, 1
         )
-    with _stage(report, "frames"):
-        f, norms = _design_products(M_tilde, U, k, r)
-        V = _complement_frame(f, norms, m, k, r)
-    with _stage(report, "singular_values"):
-        sigma, flips = _design_values(f, norms, V, m, k, r)
-    found = _compose(side, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
-    return UniqueUpToSign(A=found.A.T, sign_ambiguous=found.sign_ambiguous) if turned else found
+    with np.errstate(all="ignore"):  # see _compose
+        with _stage(report, "frames"):
+            f, norms = _design_products(M_tilde, U, k, r)
+            V = _complement_frame(f, norms, m, k, r)
+        with _stage(report, "singular_values"):
+            sigma, flips = _design_values(f, norms, V, m, k, r)
+        A = _compose(peak, Q, resamples, k, U, V, sigma, flips, report)
+    _verify(A, side, peak, k, policy, report)
+    return UniqueUpToSign(A=A.T if turned else A, sign_ambiguous=(k % 2 == 0))
 
 
 def _svd_rung(
@@ -747,26 +758,32 @@ def _svd_rung(
     r = infer_base_rank(svd.rank, k)
     with _stage(report, "preprocess"):
         Q, M_tilde, resamples, (U, _, right) = _weighted_resample(unit, svd, n, k, r, policy)
-    with _stage(report, "frames"):
-        f, norms = _design_products(M_tilde, U, k, r)
-        V = _contraction_frame(right, m, k)[0][:, :r]
-    with _stage(report, "singular_values"):
-        sigma, flips = _design_values(f, norms, V, m, k, r)
-    return _compose(M, peak, Q, resamples, U, V, sigma, flips, k, policy, report)
+    with np.errstate(all="ignore"):  # see _compose
+        with _stage(report, "frames"):
+            f, norms = _design_products(M_tilde, U, k, r)
+            V = _contraction_frame(right, m, k)[0][:, :r]
+        with _stage(report, "singular_values"):
+            sigma, flips = _design_values(f, norms, V, m, k, r)
+        A = _compose(peak, Q, resamples, k, U, V, sigma, flips, report)
+    _verify(A, M, peak, k, policy, report)
+    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
 
 
 def _compose(
-    M: np.ndarray, peak: float, Q: np.ndarray | None, resamples: int,
-    U: np.ndarray, V: np.ndarray, sigma: np.ndarray, flips: np.ndarray, k: int,
-    policy: TolerancePolicy, report: RecoveryReport,
-) -> UniqueUpToSign:
-    """The tail both rungs share: A from the frames and sigma, verified against M.
+    peak: float, Q: np.ndarray | None, resamples: int, k: int, U: np.ndarray, V: np.ndarray,
+    sigma: np.ndarray, flips: np.ndarray, report: RecoveryReport,
+) -> np.ndarray:
+    """The ``compose`` stage both rungs share: A from the frames and sigma.
 
     The rung resampled ``M / peak`` into ``compound(Q, k) @ M / peak`` (no
     Q when ``resamples`` is 0), with ``peak = max|M|``, and its right side
     gave the right frame V, sigma and the column flips of V for that.  A is
-    composed from them, undoing Q and the scale, and :func:`_verify` checks
-    it against M.
+    composed from them, undoing Q and the scale; the rung then checks it
+    against M (:func:`_verify`).  No design stage refuses: a zero design
+    product, or two that span the same directions, gives a non-finite or
+    wrong A, and ``verify`` refuses it.  So each rung runs its design
+    stages and this one with NumPy's floating-point warnings off, and
+    ``verify`` with them on.
     """
     report.inferred_r = sigma.size
     report.preprocessing_used = resamples > 0
@@ -776,8 +793,7 @@ def _compose(
         if resamples:
             A = np.linalg.solve(Q, A)
         A *= peak ** (1.0 / k)
-    _verify(A, M, peak, k, policy, report)
-    return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
+    return A
 
 
 def _design_products(
@@ -792,14 +808,12 @@ def _design_products(
     not tested here: a non-compound gives an A that ``verify`` refuses.
 
     Returns ``(f, norms)``: the products as the columns of f (m_k x r,
-    ``m_k = binom(m, k)``) and their norms; a zero product raises
-    :class:`DecompositionFailedError`.
+    ``m_k = binom(m, k)``) and their norms.  A zero product is returned as
+    it is; sigma then has a zero or non-finite entry, and ``verify`` refuses
+    the A composed from it.
     """
     f = M_tilde.T @ _design_wedges(U, k, r)
-    norms = np.sqrt((f * f).sum(axis=0))
-    if not norms.all():
-        raise DecompositionFailedError("a design product of M is zero")
-    return f, norms
+    return f, np.sqrt((f * f).sum(axis=0))
 
 
 def _complement_frame(f: np.ndarray, norms: np.ndarray, m: int, k: int, r: int) -> np.ndarray:
@@ -825,6 +839,11 @@ def _complement_frame(f: np.ndarray, norms: np.ndarray, m: int, k: int, r: int) 
     Rung 2 takes its V from the contraction of ``R diag(sqrt(s))`` instead:
     on graded sources these complements lose V where that contraction keeps
     it.
+
+    Nothing here refuses.  When two products span the same directions, the
+    dual columns' Gram matrix is singular and they are kept as they are,
+    and a zero column of V normalizes to NaN; the A composed from such a V
+    misses M or is non-finite, and ``verify`` refuses it.
     """
     # gathered along f's rows, then viewed as (r, m, binom(m, k-1)); the
     # products below read these strides, and a C-ordered copy would round
@@ -840,12 +859,9 @@ def _complement_frame(f: np.ndarray, norms: np.ndarray, m: int, k: int, r: int) 
     dual = V[:, :k]
     try:
         V[:, :k] = np.linalg.solve(dual.T @ dual, dual.T).T
-    except np.linalg.LinAlgError as err:
-        raise DecompositionFailedError("two design products span the same directions") from err
-    lengths = np.sqrt((V * V).sum(axis=0))
-    if not lengths.all():
-        raise DecompositionFailedError("two design products span the same directions")
-    V /= lengths
+    except np.linalg.LinAlgError:
+        pass  # coincident products: keep the dual columns, and verify judges the A
+    V /= np.sqrt((V * V).sum(axis=0))
     return V
 
 
@@ -885,10 +901,14 @@ def _verify(
 
     ``peak`` is ``max|M|``, taken once per recovery.  A miss raises
     :class:`VerificationFailedError`, whatever the candidate: a unique
-    answer, a rank-one family's representative or the closed form.
+    answer, a rank-one family's representative or the closed form.  A
+    non-finite candidate, which a degenerate design composes, misses with
+    a residual of inf; its compound is not taken, since ``compound()``
+    refuses non-finite input as an invalid argument.
     """
     with _stage(report, "verify"):
-        report.reconstruction_residual = residual = _residual(candidate, M, peak, k)
+        residual = _residual(candidate, M, peak, k) if np.isfinite(candidate).all() else math.inf
+        report.reconstruction_residual = residual
     if not residual <= policy.residual_rtol:
         message = f"reconstruction residual {residual:.3e} exceeds {policy.residual_rtol:.1e}"
         raise VerificationFailedError(message)
