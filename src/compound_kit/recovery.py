@@ -23,6 +23,15 @@ and ``verify`` (:func:`_verify`).  :func:`inverse_compound` runs rung 1
 ``verify``'s refusal of rung 1's candidate or hands the refusal to rung 2
 (:func:`_svd_rung`).
 
+At square k = n - 1 >= 2 rung 1 first takes the paper's closed form
+(route ``closed-form``), from the n x n SVD of ``M / max|M|``.  When its
+numerical rank is n, the preimage ``|det M|^(-(n-2)/(n-1)) compound(M, n-1)``
+is composed from that SVD (:func:`_closed_form`) and verified, with no
+contraction, draw, design or ``compose``.  An invertible M at k = n - 1 is
+a compound exactly when ``det M > 0`` or n - 1 is odd, and ``verify``
+refuses the others; that refusal ends the run as rung 1's does.  An M of
+lower numerical rank goes on to rung 1's contraction.
+
 1. Rung 1, the contraction of M itself (routes ``contraction`` and
    ``rank-one``).  An exactly zero M is the zero family at once.  Otherwise
    M is divided by ``max|M|`` (the answer is rescaled by ``max|M|^(1/k)`` at
@@ -138,7 +147,7 @@ from .errors import (
     SingularInputError,
     VerificationFailedError,
 )
-from .exterior import compound
+from .exterior import _reversed_cofactors, compound
 from .numerics import (
     DEFAULT_POLICY, ReducedSvd, TolerancePolicy, _as_float_matrix, _numerical_rank, gf2_solver,
     least_squares, reduced_svd,
@@ -207,8 +216,9 @@ class RecoveryReport:
 
     ``inferred_r`` is the rank of the recovered matrix (for the rank-one and
     zero families it reports k, the family grade).  ``route`` names the path
-    that produced the answer: ``contraction`` (rung 1), ``svd`` (rung 2),
-    ``rank-one`` or ``zero``.  ``stage_timings`` maps stage names to
+    that produced the answer: ``closed-form`` (square k = n - 1),
+    ``contraction`` (rung 1), ``svd`` (rung 2), ``rank-one`` or ``zero``.
+    ``stage_timings`` maps stage names to
     seconds, summed over the times a stage is entered; when rung 1 hands
     over, its whole time is ``contraction_attempt``.
     """
@@ -616,7 +626,10 @@ def inverse_compound(
         ``policy.residual_rtol`` before returning.  At k = 1, where
         compound(A, 1) = A, an M of rank above one is answered by a copy of
         M itself (route ``contraction``, ``inferred_r`` its rank), and a
-        rank-one M by its family.
+        rank-one M by its family.  At square k = n - 1 >= 2 an M of full
+        numerical rank is answered by the paper's closed form (route
+        ``closed-form``, ``inferred_r`` n) when ``det M > 0`` or n - 1 is
+        odd, and refused by the final check otherwise.
 
     Raises
     ------
@@ -671,7 +684,9 @@ def _contract(
     """Rung 1 of :func:`inverse_compound`: the verified answer from contractions of M itself.
 
     ``peak`` is ``max|M|``, taken once per recovery; M is contracted as
-    ``M / peak``.  At k >= 2 the side with the smaller unfolding is
+    ``M / peak``.  A square M at k = n - 1 >= 2 of full numerical rank is
+    answered by the closed form instead (:func:`_closed_form`), verified,
+    with no contraction.  At k >= 2 the side with the smaller unfolding is
     contracted: when that is M^T = compound(A^T, k), a unique answer is
     found and verified for M^T and transposed, and a family is verified as
     the one returned, against M.  At k = 1 the side with fewer rows is
@@ -688,6 +703,13 @@ def _contract(
     k >= 2, a family, unless ``gap_rtol`` is lowered, and hands every other
     refusal over.
     """
+    if n == m == k + 1 and k > 1:
+        with _stage(report, "closed_form"):
+            A = _closed_form(M, peak, k, policy)
+        if A is not None:
+            report.route, report.inferred_r = "closed-form", n
+            _verify(A, M, peak, k, policy, report)
+            return UniqueUpToSign(A=A, sign_ambiguous=(k % 2 == 0))
     # at k >= 2 the side with more rows has the smaller unfolding; at k = 1
     # both unfold to themselves, and the side with fewer rows sets the cutoff
     turned = m < n if k == 1 else m > n
@@ -731,6 +753,28 @@ def _contract(
         A = _compose(peak, Q, resamples, k, U, V, sigma, flips, report)
     _verify(A, side, peak, k, policy, report)
     return UniqueUpToSign(A=A.T if turned else A, sign_ambiguous=(k % 2 == 0))
+
+
+def _closed_form(
+    M: np.ndarray, peak: float, k: int, policy: TolerancePolicy
+) -> np.ndarray | None:
+    """The paper's closed-form preimage of a square M at k = n - 1, or None if M is singular.
+
+    For an invertible n x n M, ``B = |det M|^(-(n-2)/(n-1)) compound(M, n-1)``
+    has ``compound(B, n-1) = sign(det M)^(n-2) M``, so it is the preimage
+    whenever one exists: when ``det M > 0`` or n - 1 is odd.  It is formed
+    from the SVD ``M / peak = L diag(s) R^T``, with ``peak = max|M|``, as
+    ``P J (det L det R R diag(g / s) L^T)^T J P`` with ``g = (prod s)^(1/k)``
+    (:func:`compound_kit.exterior._reversed_cofactors`), and rescaled by
+    ``peak^(1/k)``: det M is never formed, so it neither overflows nor
+    underflows.  None is returned when the numerical rank of ``M / peak``
+    at ``rank_rtol`` is below n.
+    """
+    L, s, Rt = np.linalg.svd(M / peak)
+    if _numerical_rank(s, s.size, policy) < s.size:
+        return None
+    g = np.exp(np.log(s).sum() / k)
+    return _reversed_cofactors(L, g / s, Rt) * peak ** (1.0 / k)
 
 
 def _svd_rung(
@@ -1056,20 +1100,20 @@ def closed_form_inverse_nminus1(M, policy: TolerancePolicy = DEFAULT_POLICY) -> 
     For square M of full rank, ``B = |det M|^(-(n-2)/(n-1)) * compound(M, n-1)``
     satisfies compound(B, n-1) = M whenever any preimage exists; the final
     reconstruction check rejects inputs that are not (n-1)-compounds with
-    :class:`VerificationFailedError`.  The formula is applied to
-    ``M / sigma_1`` and its result scaled by ``sigma_1^(1/(n-1))``, so
-    ``det`` neither overflows nor underflows at extreme scales of M.
+    :class:`VerificationFailedError`.  B is formed from the SVD of
+    ``M / max|M|`` and rescaled by ``max|M|^(1/(n-1))``, the route
+    :func:`inverse_compound` takes at square k = n - 1 (:func:`_closed_form`),
+    so no determinant overflows or underflows at extreme scales of M.  An M
+    of numerical rank below n, zero among them, raises
+    :class:`SingularInputError`.
     """
     M = _as_float_matrix(M, "M")
     n, m = M.shape
     if n != m or n < 2:
         raise InvalidArgumentError(f"matrix must be square with n >= 2, got shape {M.shape}")
-    svd = reduced_svd(M, policy)
-    if svd.rank < n:
+    peak = _peak(M)
+    B = _closed_form(M, peak, n - 1, policy) if peak else None
+    if B is None:
         raise SingularInputError("closed form needs numerically invertible input")
-    scale = float(svd.sigma[0])
-    unit = M / scale
-    det = float(np.linalg.det(unit))
-    B = scale ** (1 / (n - 1)) * abs(det) ** (-(n - 2) / (n - 1)) * compound(unit, n - 1)
-    _verify(B, M, _peak(M), n - 1, policy, RecoveryReport())
+    _verify(B, M, peak, n - 1, policy, RecoveryReport())
     return B

@@ -19,6 +19,7 @@ import pytest
 
 from compound_kit import (
     DEFAULT_POLICY,
+    CompoundKitError,
     RankOneFamily,
     TolerancePolicy,
     UniqueUpToSign,
@@ -33,7 +34,7 @@ from compound_kit import (
     recover_singular_values,
     sign_reversal_pair,
 )
-from compound_kit import reference
+from compound_kit import recovery, reference
 from compound_kit.cli import run_bench
 from compound_kit.testkit import load_fixtures, random_rank_r
 
@@ -171,15 +172,23 @@ def test_criterion_05_non_decomposable_vector_rejected(acceptance_lines):
 # criterion 6: closed form at k = n-1 agrees with the full pipeline
 
 
-def test_criterion_06_closed_form_matches_pipeline(acceptance_lines):
+def test_criterion_06_closed_form_matches_pipeline(acceptance_lines, monkeypatch):
+    # inverse_compound answers square k = n-1 by the closed form itself, so
+    # the pipeline compared here is the SVD route (rung 2) alone: rung 1 is
+    # made to refuse every input, which hands it over
+    def refuse(*args):
+        raise CompoundKitError("rung 1 refuses every input here")
+
+    monkeypatch.setattr(recovery, "_contract", refuse)
     worst = 0.0
     for n in (4, 5):
         for seed in range(50):
             A = random_rank_r(n, n, n, seed=1000 * n + seed)
             M = compound(A, n - 1)
             B = closed_form_inverse_nminus1(M)
-            A_hat = inverse_compound(M, n, n, n - 1).outcome.A
-            worst = max(worst, _min_sign_error(A_hat, B))
+            result = inverse_compound(M, n, n, n - 1)
+            assert result.report.route == "svd"
+            worst = max(worst, _min_sign_error(result.outcome.A, B))
     _record(
         acceptance_lines, 6, "closed form vs pipeline at k = n-1",
         worst <= 1e-8,

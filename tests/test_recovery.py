@@ -852,6 +852,25 @@ def test_closed_form_agrees_with_pipeline():
         assert sign_error(closed, piped) <= 1e-10
 
 
+def test_square_k_n_minus_1_is_answered_by_the_det_rule():
+    # at k = n - 1 an invertible M is a compound exactly when det M > 0 or
+    # n - 1 is odd: the closed form B has compound(B, n-1) = sign(det M)^(n-2) M.
+    # Draw 1056 is a 6x6 M of cond 5.2e5 that the contraction path refused
+    # as verification-failed, a false certificate
+    rng = np.random.default_rng(9)
+    for draw in range(2000):
+        n = int(rng.integers(3, 8))
+        M = rng.standard_normal((n, n))
+        is_compound = (n - 1) % 2 == 1 or np.linalg.det(M) > 0
+        try:
+            result = inverse_compound(M, n, n, n - 1)
+        except VerificationFailedError as refusal:
+            assert not is_compound, f"draw {draw} ({n}x{n}) refused: {refusal}"
+        else:
+            assert is_compound, f"draw {draw} ({n}x{n}) answered with det M < 0"
+            assert result.report.route == "closed-form"
+
+
 def test_reconstruction_residual_zero_matrix():
     assert reconstruction_residual(np.zeros((3, 3)), np.zeros((3, 3)), 2) == 0.0
 
@@ -1264,7 +1283,9 @@ def test_contraction_rung_matches_svd_rung(r, monkeypatch):
         for n, m in [(r, r), (r + 2, r + 1), (r, r + 2), (r + 2, r + 2)]:
             A = random_rank_r(n, m, r, seed=8191 * r + 97 * k + 13 * n + m)
             first, second = _rung_one_and_two(compound(A, k), n, m, k, monkeypatch)
-            assert (first.report.route, second.report.route) == ("contraction", "svd")
+            # square k = n - 1 takes the paper's closed form
+            route = "closed-form" if n == m == k + 1 else "contraction"
+            assert (first.report.route, second.report.route) == (route, "svd")
             assert first.report.inferred_r == second.report.inferred_r == r
             got, want = first.outcome.A, second.outcome.A
             if k % 2:
@@ -1393,7 +1414,8 @@ def test_design_right_side_reproduces_the_source(r):
             if k % 2:
                 assert np.linalg.norm(A_hat - A) <= 1e-12 * np.linalg.norm(A)
             result = inverse_compound(M, n, m, k, policy)
-            assert result.report.route == "contraction"
+            closed = n == m == k + 1 and k > 1  # square k = n - 1 takes the closed form
+            assert result.report.route == ("closed-form" if closed else "contraction")
             assert sign_error(result.outcome.A, A) <= 1e-12
 
 

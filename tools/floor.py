@@ -5,9 +5,11 @@ Usage::
     python tools/floor.py [TREE ...] [--calls 2000]
 
 Each tree is a checkout holding ``src/compound_kit``; without one, the tree
-this tool lives in is measured.  Five small inputs are recovered: Gaussian
+this tool lives in is measured.  Seven small inputs are recovered: Gaussian
 sources at 4x4 k=2, 5x5 k=3 and 6x6 k=3, ``M = I`` at 4x4 k=2 and an
-orthogonal 5x5 k=3 source (the last two need a random draw).  Two more are
+orthogonal 5x5 k=3 source (the last two need a random draw), and ``M = I``
+at 4x4 k=3 and an orthogonal 6x6 k=5 source, which are square with
+k = n - 1 and are answered by the closed form.  Two more are
 refused, and their ``CompoundKitError`` is caught: a Gaussian 6 x 6 M at
 4x4 k=2 and a 5x5 k=2 compound perturbed by 1e-6 of its max|M|, each of
 whose rung-1 candidate ``verify`` refuses.  Their M are built from fixed
@@ -61,13 +63,15 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def inputs() -> list[tuple[str, np.ndarray, int, int, int]]:
-    """(label, M, n, m, k) of the seven inputs."""
+    """(label, M, n, m, k) of the nine inputs."""
     sources = [
         (f"gaussian {n}x{n} k={k}", np.random.default_rng([n, k]).standard_normal((n, n)), k)
         for n, k in ((4, 2), (5, 3), (6, 3))
     ]
     sources.append(("identity 4x4 k=2", np.eye(4), 2))
     sources.append(("orthogonal 5x5 k=3", _orthogonal(np.random.default_rng([5, 3, 1]), 5), 3))
+    sources.append(("identity 4x4 k=3", np.eye(4), 3))
+    sources.append(("orthogonal 6x6 k=5", _orthogonal(np.random.default_rng([6, 5, 1]), 6), 5))
     found = [(label, minors(A, k), *A.shape, k) for label, A, k in sources]
     rng = np.random.default_rng([5, 2, 6])
     found.append(("refused gaussian M", rng.standard_normal((6, 6)), 4, 4, 2))
