@@ -320,10 +320,10 @@ def compound(X, k: int) -> np.ndarray:
     reversal and ``J = diag((-1)^i)``, and they are built from one SVD
     ``X = L diag(s) R^T`` as ``adj(X) = det L det R R diag(prod_{j != i}
     s_j) L^T``, the products formed from prefix and suffix products with no
-    division (:func:`_svd_cofactors`).  Each product of singular values keeps its
-    relative accuracy, so this form keeps the compound's normwise accuracy
-    on ill-conditioned X, where the Laplace levels lose it: at 6 x 6 with
-    condition 1e10, 5.1e-10 against their 9.1e-4.
+    division (:func:`_svd_cofactors`).  Each product of singular values
+    keeps its relative accuracy, so this form keeps the compound's normwise
+    accuracy on ill-conditioned X, where the Laplace levels lose it: at
+    6 x 6 with condition 1e10, 5.1e-10 against their 9.1e-4.
     """
     X = _as_float_matrix(X)
     n, m = X.shape

@@ -22,6 +22,7 @@ from compound_kit import (
     TolerancePolicy,
     UniqueUpToSign,
     VerificationFailedError,
+    adjugate,
     align_and_sign_adjust,
     closed_form_inverse_nminus1,
     compound,
@@ -37,6 +38,7 @@ from compound_kit import (
     reconstruction_residual,
     recover_singular_values,
     reduced_svd,
+    sign_reversal_pair,
     wedge_decompose,
 )
 from compound_kit import recovery
@@ -843,13 +845,20 @@ def test_closed_form_round_trip_at_extreme_scales(c):
 
 
 def test_closed_form_agrees_with_pipeline():
+    # both answer through recovery._closed_form, so each is compared with the
+    # paper's |det M|^(-(n-2)/(n-1)) compound(M, n-1), its compound taken
+    # from the LU cofactors of adjugate: compound(M, n-1) = P S adj(M)^T S P
     rng = np.random.default_rng(43)
+    S, P = sign_reversal_pair(4)
     for _ in range(5):
         A = rng.standard_normal((4, 4))
         M = compound(A, 3)
+        formula = abs(np.linalg.det(M)) ** (-2 / 3) * (P @ S @ adjugate(M).T @ S @ P)
         closed = closed_form_inverse_nminus1(M)
-        piped = inverse_compound(M, 4, 4, 3).outcome.A
-        assert sign_error(closed, piped) <= 1e-10
+        result = inverse_compound(M, 4, 4, 3)
+        assert result.report.route == "closed-form"
+        assert sign_error(closed, formula) <= 1e-10
+        assert sign_error(result.outcome.A, formula) <= 1e-10
 
 
 def test_square_k_n_minus_1_is_answered_by_the_det_rule():
