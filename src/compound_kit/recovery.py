@@ -37,13 +37,14 @@ lower numerical rank goes on to rung 1's contraction.
    M is divided by ``max|M|`` (the answer is rescaled by ``max|M|^(1/k)`` at
    the end, so no stage sees extreme magnitudes).  The left frame is the
    top r left singular vectors of the contraction of M, and r is the rank
-   of that contraction.  Rank r = k means rank one, and the family comes
-   from that frame and one contraction of the right side
-   (:func:`_rank_one_family`).  At k >= 2 the side with the smaller
-   unfolding is contracted (a choice made from the shape alone): when that
-   is M^T = compound(A^T, k), a unique answer is found and verified for M^T
-   and then transposed, and a family is turned back first and verified
-   against M itself.  At k = 1 both sides unfold to themselves, and the
+   of that contraction.  Rank one is read from the shape, when M has one
+   row or one column (k = min(n, m)) and r is at least k, or else from
+   r = k; the family comes from the top k of that frame and one
+   contraction of the right side (:func:`_rank_one_family`).  At k >= 2
+   the side with the smaller unfolding is contracted (a choice made from
+   the shape alone): when that is M^T = compound(A^T, k), a unique answer
+   is found and verified for M^T and then transposed, and a family is
+   turned back first and verified against M itself.  At k = 1 both sides unfold to themselves, and the
    side with fewer rows is contracted, so M and M^T read their rank at one
    cutoff.  There compound(A, 1) = A: a rank r > 1, or a rank one whose
    family misses M, is answered by a copy of M itself, verified, with no
@@ -52,17 +53,20 @@ lower numerical rank goes on to rung 1's contraction.
 2. Rung 2, the SVD route (route ``svd``).  Rung 1 hands over to it when it
    refuses before composing, on a contraction rank r outside
    k <= r <= min(n, m) or a draw that separates nothing; its time is then
-   reported as ``contraction_attempt``.  The ``svd`` stage takes the compact SVD
+   reported as ``contraction_attempt``.  So no M of one row or one column
+   reaches it unless its contraction rank is below k or ``gap_rtol`` is
+   lowered.  The ``svd`` stage takes the compact SVD
    ``M / max|M| = L diag(s) R^T``, the same scale as rung 1's; its rank
    binom(r, k) gives r.  Rank one calls the rank-one family again, with the
    top k frame of the contraction of the one left singular vector as U:
-   that answers an M whose second direction lies between the SVD's rank
-   cutoff and the contraction's.  The family takes no rank of either side's
-   contraction; ``verify`` alone accepts or refuses it.  A rank that is no
-   binom(r, k) is refused as no compound (``not-compound-decomposable``).
-   Otherwise the left frame is contracted from the weighted factor
-   ``L diag(sqrt(s))``, which separates ill-conditioned sources better, and
-   a failed check is the refusal, under its own tag.  Rung 2 knows nothing
+   that answers a rank-one M whose second direction lies between the SVD's
+   rank cutoff and the contraction's, or one handed over on a gap refusal.
+   The family takes no rank of either side's contraction; ``verify`` alone
+   accepts or refuses it.  A rank that is no binom(r, k) is refused as no
+   compound (``not-compound-decomposable``).  Otherwise the left frame is
+   contracted from the weighted factor ``L diag(sqrt(s))``, which
+   separates ill-conditioned sources better, and a failed check is the
+   refusal, under its own tag.  Rung 2 knows nothing
    of rung 1's refusal, because ``verify``'s refusal of rung 1's candidate,
    a unique answer or a rank-one family, never reaches it: above rank one
    the preimage is unique up to sign, and at rank one the family holds
@@ -689,8 +693,13 @@ def _contract(
     with no contraction.  At k >= 2 the side with the smaller unfolding is
     contracted: when that is M^T = compound(A^T, k), a unique answer is
     found and verified for M^T and transposed, and a family is verified as
-    the one returned, against M.  At k = 1 the side with fewer rows is
-    contracted, and a rank r > 1, or a rank one whose family misses M
+    the one returned, against M.  A contraction rank r = k is rank one, and
+    so is any r >= k when M has one row or one column (k = min(n, m)): its
+    shape fixes that rank, so a rank that rounding lifts above k builds the
+    family from the top k of the frame (:func:`_rank_one_family`) rather
+    than being refused, and no such M reaches rung 2 under the default
+    ``gap_rtol``.  At k = 1 the side with fewer rows is contracted, and a
+    rank r > 1, or a rank one whose family misses M
     (:class:`VerificationFailedError`), returns a copy of M, verified
     against M, since compound(M, 1) = M; so no k = 1 input reaches rung 2
     unless ``rank_rtol`` cuts off even the largest contraction value.
@@ -718,14 +727,17 @@ def _contract(
         unit = side / peak
         frame, values = _contraction_frame(unit, n, k)
         r = _numerical_rank(values, n, policy)
-    if r == k:
+    # now m = min(n, m) at k >= 2, and r <= n <= m at k = 1.  At k = m, M
+    # has one row or one column, rank one by its shape, so a rank that
+    # rounding lifts above k still reads as the family
+    if r == k or k == m < r:
         try:
             return _rank_one_family(side, peak, frame[:, :k], m, k, policy, report, turned)
         except VerificationFailedError:
             if k > 1:
                 raise
-    elif not k < r <= min(n, m):
-        raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {min(n, m)}]")
+    elif not k < r <= m:
+        raise NotCompoundDecomposableError(f"contraction rank {r} is outside ({k}, {m}]")
     if k == 1:  # compound(A, 1) = A, so M is its own preimage
         report.route, report.inferred_r = "contraction", r
         _verify(M, M, peak, k, policy, report)
@@ -790,6 +802,10 @@ def _svd_rung(
     rank count decides rank one and a rank that is no binomial, and any
     other count runs the rung in full.  :func:`inverse_compound` calls it
     after a ``verify`` refusal of rung 1 only under a lowered ``gap_rtol``.
+    Rung 1 answers or refuses every M of one row or one column whose
+    contraction rank is at least k, so its rank-one branch serves a
+    rank-one M whose second direction lies between the SVD's rank cutoff
+    and the contraction's, or one handed over after a gap refusal.
     """
     with _stage(report, "svd"):
         unit = M / peak
@@ -1037,9 +1053,12 @@ def _rank_one_family(
     (Harris, *Algebraic Geometry: A First Course*, Lecture 6).  So for a
     true compound ``M = s u v^T`` the caller's U, the top k frame of the
     contraction of ``M / max|M|`` (rung 1) or of u itself (rung 2 and
-    :func:`rank_one_inverse`), spans u's factors.  V, the top k frame of
-    the contraction of the narrow ``F = (M / max|M|)^T compound(U, k)``, a
-    multiple of v, spans v's.  The 1 x 1 core ``F^T compound(V, k)`` is then
+    :func:`rank_one_inverse`), spans u's factors.  Rung 1 also passes the
+    top k of a contraction whose rank reads above k, when M has one row or
+    one column: rounding of a graded wedge can lift that rank, and the top
+    k directions still span the factors as closely as rounding allows.  V,
+    the top k frame of the contraction of the narrow
+    ``F = (M / max|M|)^T compound(U, k)``, a multiple of v, spans v's.  The 1 x 1 core ``F^T compound(V, k)`` is then
     ``+-s / max|M|``: its sign goes into V's first column and ``Sigma`` is
     ``|core|^(1/k) I``, rescaled by ``max|M|^(1/k)``.  No contraction rank is
     tested: ``verify`` is the one judge, and raises

@@ -1326,6 +1326,10 @@ def _refusal_corpus():
         # rank one with a wedge on the contracted side and none on the other
         ("wedge-u-gaussian-v-5x5-k2", np.outer(compound(X[:5, :2], 2), rng.standard_normal(10)),
          5, 5, 2),
+        # one row or one column is rank one by its shape, however high the
+        # contraction rank of a Gaussian long side reads
+        ("gaussian-one-row-2x7-k2", rng.standard_normal((1, 21)), 2, 7, 2),
+        ("gaussian-one-column-7x3-k3", rng.standard_normal((35, 1)), 7, 3, 3),
     ]
 
 
@@ -1337,11 +1341,12 @@ def test_contraction_rung_keeps_every_refusal_tag(label, M, n, m, k, monkeypatch
         svds = _count_decompositions_of(M, patch)
         with pytest.raises(CompoundKitError) as first:
             inverse_compound(M, n, m, k)
-    if label in ("q-qT-4x4-k2", "wedge-u-gaussian-v-5x5-k2"):
-        # both rank-one M are no compound, and verify refuses what is built
-        # for them
+    one_row = ("gaussian-one-row-2x7-k2", "gaussian-one-column-7x3-k3")
+    if label in ("q-qT-4x4-k2", "wedge-u-gaussian-v-5x5-k2") + one_row:
+        # every rank-one M here is no compound, and verify refuses what is
+        # built for it
         assert first.value.tag == "verification-failed"
-    if label == "wedge-u-gaussian-v-5x5-k2":
+    if label in ("wedge-u-gaussian-v-5x5-k2",) + one_row:
         assert svds == []  # verify's refusal of rung 1's family ends the run
     with monkeypatch.context() as patch:
         _hand_over(patch)
@@ -2048,14 +2053,21 @@ def test_rank_one_with_a_second_direction_between_the_rank_cutoffs():
 
 
 @pytest.mark.parametrize("n, m, seed", [(2, 6, 1), (6, 2, 2)])
-def test_graded_one_row_compound_gets_its_family(n, m, seed):
+def test_graded_one_row_compound_gets_its_family(n, m, seed, monkeypatch):
     # M is one row or one column, and the float minors of the graded source
     # leave the contraction of the long side a (k+1)-th value above the rank
-    # cutoff but far below residual_rtol: the family passes verify
+    # cutoff but far below residual_rtol: M is rank one by its shape, so
+    # rung 1 builds the family from that contraction, with no SVD of M and
+    # no rung 2, and the family passes verify
     A = random_rank_r(n, m, 2, seed, spectrum=[1.0, 1e-8])
     M = compound(A, 2)
     policy = TolerancePolicy()
-    result = inverse_compound(M, n, m, 2, policy)
+    with monkeypatch.context() as patch:
+        svds = _count_decompositions_of(M, patch)
+        result = inverse_compound(M, n, m, 2, policy)
+    assert svds == []
+    assert "contraction_attempt" not in result.report.stage_timings
+    assert "svd" not in result.report.stage_timings
     assert isinstance(result.outcome, RankOneFamily)
     assert result.report.route == "rank-one"
     family = rank_one_inverse(M, n, m, 2, policy)
@@ -2063,6 +2075,34 @@ def test_graded_one_row_compound_gets_its_family(n, m, seed):
         assert isinstance(got, RankOneFamily)
         assert reconstruction_residual(got.representative(), M, 2) <= policy.residual_rtol
         assert family_contains(A, got, policy)
+
+
+@pytest.mark.xfail(raises=VerificationFailedError, strict=True)
+def test_graded_one_row_compound_whose_source_is_exact_is_not_refused():
+    # corpus input 5122 of tools/outcome_diff.py (ROADMAP item 5): the 3 x 6
+    # source reproduces its 1 x 20 M at residual 0, but the family from the
+    # contraction of the float wedge misses M by 5.3e-8, and rung 1 refuses
+    # it as no compound
+    A = random_rank_r(3, 6, 3, seed=4, spectrum=4.6e9 ** (-np.arange(3) / 2))
+    M = compound(A, 3)
+    policy = TolerancePolicy(rank_rtol=1e-12)
+    assert reconstruction_residual(A, M, 3) == 0.0
+    result = inverse_compound(M, 3, 6, 3, policy)
+    assert reconstruction_residual(result.outcome.representative(), M, 3) <= policy.residual_rtol
+
+
+@pytest.mark.xfail(raises=NotCompoundDecomposableError, strict=True)
+def test_graded_square_k_n_minus_1_compound_whose_source_is_exact_is_not_refused():
+    # corpus input 4665 of tools/outcome_diff.py (ROADMAP items 5 and 14): the
+    # 5 x 5 source reproduces M at residual 0, but sigma_min / sigma_max of M
+    # is 3.8e-10, below the closed form's rank cutoff, and rung 2's SVD count
+    # refuses M as "rank 4 is not binom(r, 4)"
+    A = random_rank_r(5, 5, 5, seed=0, spectrum=2.6e9 ** (-np.arange(5) / 4))
+    M = compound(A, 4)
+    policy = TolerancePolicy()
+    assert reconstruction_residual(A, M, 4) == 0.0
+    result = inverse_compound(M, 5, 5, 4, policy)
+    assert reconstruction_residual(result.outcome.A, M, 4) <= policy.residual_rtol
 
 
 # --- the tag contract ---

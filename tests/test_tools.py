@@ -25,4 +25,4 @@ def test_floor_measures_every_input():
     done = _run("floor.py", str(ROOT), "--calls", "3")
     assert done.returncode == 0, done.stderr
     rows = [line for line in done.stdout.splitlines() if line.endswith(" calls")]
-    assert len(rows) == 9, done.stdout
+    assert len(rows) == 11, done.stdout

@@ -12,9 +12,12 @@ at 4x4 k=3 and an orthogonal 6x6 k=5 source, which are square with
 k = n - 1 and are answered by the closed form.  Two more are
 refused, and their ``CompoundKitError`` is caught: a Gaussian 6 x 6 M at
 4x4 k=2 and a 5x5 k=2 compound perturbed by 1e-6 of its max|M|, each of
-whose rung-1 candidate ``verify`` refuses.  Their M are built from fixed
-seeds with the benchmark's own determinants (``perfbench/cases.py``), so
-every tree recovers the same bytes.
+whose rung-1 candidate ``verify`` refuses.  The last two have one row: the
+compound of a graded 3x6 source at k=3 (condition 1e9), a rank-one family
+whose contraction reads a rank above k, and a Gaussian 1 x 21 M at 2x7
+k=2, whose family is refused.  Their M are built from fixed seeds with the
+benchmark's own determinants (``perfbench/cases.py``), so every tree
+recovers the same bytes.
 
 The ``--calls`` are split into ``ROUNDS`` rounds.  In each round every
 tree runs in its own subprocess with BLAS pinned to one thread, the trees
@@ -63,7 +66,7 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def inputs() -> list[tuple[str, np.ndarray, int, int, int]]:
-    """(label, M, n, m, k) of the nine inputs."""
+    """(label, M, n, m, k) of the eleven inputs."""
     sources = [
         (f"gaussian {n}x{n} k={k}", np.random.default_rng([n, k]).standard_normal((n, n)), k)
         for n, k in ((4, 2), (5, 3), (6, 3))
@@ -78,6 +81,10 @@ def inputs() -> list[tuple[str, np.ndarray, int, int, int]]:
     exact = minors(rng.standard_normal((5, 5)), 2)
     noise = 1e-6 * np.abs(exact).max() * rng.standard_normal(exact.shape)
     found.append(("refused perturbed", exact + noise, 5, 5, 2))
+    rng = np.random.default_rng([3, 6, 3])
+    graded = (_orthogonal(rng, 3) * 1e9 ** (-np.arange(3) / 2)) @ _orthogonal(rng, 6)[:3]
+    found.append(("graded one-row M", minors(graded, 3), 3, 6, 3))
+    found.append(("refused one-row M", rng.standard_normal((1, 21)), 2, 7, 2))
     return found
 
 
